@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,11 @@ from repro.pricing.billing import (
 )
 from repro.pricing.schemes import PricingScheme
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,9 @@ class InjectionContext:
         The replicated ARIMA confidence band for the attacked week.
     start_slot:
         Global slot index of the week's first reading (for pricing).
+
+    The context is a snapshot: the arrays must not be changed after
+    construction.
     """
 
     train_matrix: np.ndarray = field(repr=False)
@@ -63,15 +72,19 @@ class InjectionContext:
         if np.any(self.band_lower > self.band_upper):
             raise InjectionError("band_lower must not exceed band_upper")
 
-    @property
+    # The weekly moments are computed once per context (every Integrated
+    # ARIMA draw reads them) and handed out read-only, so no caller can
+    # change what the next draw sees.
+
+    @cached_property
     def weekly_means(self) -> np.ndarray:
         """Mean of each training week (the Integrated detector's range)."""
-        return self.train_matrix.mean(axis=1)
+        return _read_only(self.train_matrix.mean(axis=1))
 
-    @property
+    @cached_property
     def weekly_variances(self) -> np.ndarray:
         """Variance of each training week."""
-        return self.train_matrix.var(axis=1)
+        return _read_only(self.train_matrix.var(axis=1))
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,13 @@ class OptimalSwapAttack(AttackInjector):
         self, context: InjectionContext, rng: np.random.Generator
     ) -> AttackVector:
         reported = context.actual_week.copy()
+        week_peak = self.pricing.peak_mask(reported.size, start=context.start_slot)
+        slot_of_day = np.arange(SLOTS_PER_DAY)
         swaps = 0
         for day_start in range(0, reported.size, SLOTS_PER_DAY):
             day = slice(day_start, day_start + SLOTS_PER_DAY)
             day_values = reported[day]
-            slot_of_day = np.arange(SLOTS_PER_DAY)
-            global_slots = context.start_slot + day_start + slot_of_day
-            peak_mask = np.array([self.pricing.is_peak(int(t)) for t in global_slots])
+            peak_mask = week_peak[day]
             peak_idx = slot_of_day[peak_mask]
             off_idx = slot_of_day[~peak_mask]
             if peak_idx.size == 0 or off_idx.size == 0:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.detectors.base import DetectionResult, WeeklyDetector
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.pricing.schemes import PricingScheme
-from repro.stats.divergence import kl_divergence
+from repro.stats.divergence import kl_divergence, row_kl_divergences
 from repro.stats.histogram import FixedEdgeHistogram
 from repro.stats.percentile import EmpiricalDistribution
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
@@ -87,11 +87,8 @@ class PriceConditionedKLDDetector(WeeklyDetector):
             values = train_matrix[:, mask]
             histogram = FixedEdgeHistogram.from_data(values, self.bins)
             reference = histogram.probabilities(values)
-            divergences = np.array(
-                [
-                    kl_divergence(histogram.probabilities(week[mask]), reference)
-                    for week in train_matrix
-                ]
+            divergences = row_kl_divergences(
+                histogram.row_probabilities(values), reference
             )
             dist = EmpiricalDistribution(divergences)
             self._histograms[level] = histogram

@@ -21,7 +21,7 @@ from repro.errors import (
     NonFiniteInputError,
     NotFittedError,
 )
-from repro.stats.divergence import kl_divergence
+from repro.stats.divergence import kl_divergence, row_kl_divergences
 from repro.stats.histogram import FixedEdgeHistogram
 from repro.stats.percentile import EmpiricalDistribution
 
@@ -97,11 +97,8 @@ class KLDDetector(WeeklyDetector):
         else:
             histogram = FixedEdgeHistogram.from_data(train_matrix, self.bins)
         reference = histogram.probabilities(train_matrix)
-        divergences = np.array(
-            [
-                kl_divergence(histogram.probabilities(week), reference)
-                for week in train_matrix
-            ]
+        divergences = row_kl_divergences(
+            histogram.row_probabilities(train_matrix), reference
         )
         self._histogram = histogram
         self._reference = reference

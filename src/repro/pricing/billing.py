@@ -15,14 +15,19 @@ from repro.pricing.schemes import PricingScheme
 DEFAULT_DT_HOURS = 0.5
 
 
-def _aligned(
-    demands: np.ndarray, prices: np.ndarray | PricingScheme, start: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _demands(demands: np.ndarray) -> np.ndarray:
     d = np.asarray(demands, dtype=float).ravel()
     if d.size == 0:
         raise PricingError("demand series must be non-empty")
     if np.any(d < 0):
         raise PricingError("demands must be >= 0")
+    return d
+
+
+def _aligned(
+    demands: np.ndarray, prices: np.ndarray | PricingScheme, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    d = _demands(demands)
     if isinstance(prices, PricingScheme):
         lam = prices.price_vector(d.size, start=start)
     else:
@@ -34,6 +39,22 @@ def _aligned(
     if np.any(lam < 0):
         raise PricingError("prices must be >= 0")
     return d, lam
+
+
+def _paired(
+    actual: np.ndarray,
+    reported: np.ndarray,
+    prices: np.ndarray | PricingScheme,
+    start: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both demand series and the one price series they share."""
+    a, lam = _aligned(actual, prices, start)
+    r = _demands(reported)
+    if a.size != r.size:
+        raise PricingError(
+            f"actual length {a.size} != reported length {r.size}"
+        )
+    return a, r, lam
 
 
 def bill(
@@ -62,12 +83,7 @@ def attacker_profit(
     pay minus what she *is* billed.  Positive alpha means a successful
     theft (eq 1).
     """
-    a, lam = _aligned(actual, prices, start)
-    r, _ = _aligned(reported, prices, start)
-    if a.size != r.size:
-        raise PricingError(
-            f"actual length {a.size} != reported length {r.size}"
-        )
+    a, r, lam = _paired(actual, reported, prices, start)
     return float(np.sum(lam * (a - r)) * dt_hours)
 
 
@@ -105,10 +121,7 @@ def neighbour_loss(
     start: int = 0,
 ) -> float:
     """L_n (eq 10): what an over-reported neighbour is overcharged."""
-    a, lam = _aligned(neighbour_actual, prices, start)
-    r, _ = _aligned(neighbour_reported, prices, start)
-    if a.size != r.size:
-        raise PricingError(f"actual length {a.size} != reported length {r.size}")
+    a, r, lam = _paired(neighbour_actual, neighbour_reported, prices, start)
     return float(np.sum(lam * (r - a)) * dt_hours)
 
 

@@ -11,22 +11,31 @@ from repro.errors import PricingError
 from repro.timeseries.seasonal import SLOTS_PER_DAY
 
 
+def _slot_range(n_slots: int, start: int) -> np.ndarray:
+    """Global slot indices ``start, ..., start + n_slots - 1``."""
+    if n_slots < 0:
+        raise PricingError(f"n_slots must be >= 0, got {n_slots}")
+    if start < 0 and n_slots > 0:
+        raise PricingError(f"time period must be >= 0, got {start}")
+    return np.arange(start, start + n_slots)
+
+
 class PricingScheme(ABC):
     """Price per kWh as a function of the discrete time period ``t``.
 
     Time periods are global half-hour slot indices starting at 0, with
     slot 0 beginning at midnight (so slot ``t % 48`` is the slot-of-day).
+    Each scheme implements :meth:`price_vector` as array arithmetic over
+    the slot indices; the scalar :meth:`price` is a one-slot view of it.
     """
 
-    @abstractmethod
     def price(self, t: int) -> float:
         """Electricity price lambda(t) in $/kWh at time period ``t``."""
+        return float(self.price_vector(1, start=t)[0])
 
+    @abstractmethod
     def price_vector(self, n_slots: int, start: int = 0) -> np.ndarray:
         """Prices for ``n_slots`` consecutive periods from ``start``."""
-        if n_slots < 0:
-            raise PricingError(f"n_slots must be >= 0, got {n_slots}")
-        return np.array([self.price(start + i) for i in range(n_slots)])
 
     @property
     @abstractmethod
@@ -44,10 +53,8 @@ class FlatRatePricing(PricingScheme):
         if self.rate < 0:
             raise PricingError(f"rate must be >= 0, got {self.rate}")
 
-    def price(self, t: int) -> float:
-        if t < 0:
-            raise PricingError(f"time period must be >= 0, got {t}")
-        return self.rate
+    def price_vector(self, n_slots: int, start: int = 0) -> np.ndarray:
+        return np.full(_slot_range(n_slots, start).size, float(self.rate))
 
     @property
     def is_variable(self) -> bool:
@@ -81,17 +88,21 @@ class TimeOfUsePricing(PricingScheme):
 
     def is_peak(self, t: int) -> bool:
         """Whether global slot ``t`` falls in the daily peak window."""
-        if t < 0:
-            raise PricingError(f"time period must be >= 0, got {t}")
-        slot_of_day = t % SLOTS_PER_DAY
-        return self.peak_start_slot <= slot_of_day < self.peak_end_slot
-
-    def price(self, t: int) -> float:
-        return self.peak_rate if self.is_peak(t) else self.offpeak_rate
+        return bool(self.peak_mask(1, start=t)[0])
 
     def peak_mask(self, n_slots: int, start: int = 0) -> np.ndarray:
         """Boolean mask of peak slots over a window."""
-        return np.array([self.is_peak(start + i) for i in range(n_slots)])
+        slot_of_day = _slot_range(n_slots, start) % SLOTS_PER_DAY
+        return (self.peak_start_slot <= slot_of_day) & (
+            slot_of_day < self.peak_end_slot
+        )
+
+    def price_vector(self, n_slots: int, start: int = 0) -> np.ndarray:
+        return np.where(
+            self.peak_mask(n_slots, start),
+            float(self.peak_rate),
+            float(self.offpeak_rate),
+        )
 
     @property
     def is_variable(self) -> bool:
@@ -151,16 +162,15 @@ class RealTimePricing(PricingScheme):
             prices[i] = max(0.01, level)
         return cls(prices=prices, update_period=update_period)
 
-    def price(self, t: int) -> float:
-        if t < 0:
-            raise PricingError(f"time period must be >= 0, got {t}")
-        idx = t // self.update_period
-        if idx >= self.prices.size:
+    def price_vector(self, n_slots: int, start: int = 0) -> np.ndarray:
+        idx = _slot_range(n_slots, start) // self.update_period
+        if idx.size and idx[-1] >= self.prices.size:
+            horizon = self.prices.size * self.update_period
             raise PricingError(
-                f"time period {t} beyond the RTP series horizon "
-                f"({self.prices.size * self.update_period} slots)"
+                f"time period {max(start, horizon)} beyond the RTP series "
+                f"horizon ({horizon} slots)"
             )
-        return float(self.prices[idx])
+        return self.prices[idx]
 
     @property
     def is_variable(self) -> bool:

@@ -8,12 +8,14 @@ plain :class:`numpy.ndarray` values.
 
 from repro.stats.histogram import (
     FixedEdgeHistogram,
+    binned_counts,
     histogram_edges,
     relative_frequencies,
 )
 from repro.stats.divergence import (
     js_divergence,
     kl_divergence,
+    row_kl_divergences,
     symmetric_kl_divergence,
 )
 from repro.stats.truncated_normal import TruncatedNormal, sample_truncated_normal
@@ -25,11 +27,13 @@ __all__ = [
     "FixedEdgeHistogram",
     "RunningMoments",
     "TruncatedNormal",
+    "binned_counts",
     "histogram_edges",
     "js_divergence",
     "kl_divergence",
     "percentile",
     "relative_frequencies",
+    "row_kl_divergences",
     "sample_truncated_normal",
     "symmetric_kl_divergence",
 ]

@@ -17,6 +17,13 @@ from repro.errors import ConfigurationError
 _SMOOTHING = 1e-12
 
 
+def _check_sum(name: str, total: float) -> None:
+    # np.isclose(total, 1.0, atol=1e-6) as a scalar test; NaN and inf
+    # fail the comparison and are rejected.
+    if not abs(total - 1.0) <= 1e-6 + 1e-5:
+        raise ConfigurationError(f"{name} must sum to 1, sums to {total}")
+
+
 def _validate_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float).ravel()
     q = np.asarray(q, dtype=float).ravel()
@@ -26,13 +33,27 @@ def _validate_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
         )
     if p.size == 0:
         raise ConfigurationError("distributions must be non-empty")
-    if np.any(p < -1e-9) or np.any(q < -1e-9):
+    if p.min() < -1e-9 or q.min() < -1e-9:
         raise ConfigurationError("distributions must be non-negative")
-    for name, vec in (("p", p), ("q", q)):
-        total = vec.sum()
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise ConfigurationError(f"{name} must sum to 1, sums to {total}")
+    _check_sum("p", p.sum())
+    _check_sum("q", q.sum())
     return p, q
+
+
+def _smoothed(q: np.ndarray) -> np.ndarray:
+    return np.where(q <= 0, _SMOOTHING, q)
+
+
+def _kl_terms_sum(p: np.ndarray, q: np.ndarray) -> np.float64:
+    """Natural-log ``sum_j p_j (ln p_j - ln q_j)`` over the ``p_j > 0`` terms.
+
+    Summing only the non-zero terms, in bin order, fixes numpy's pairwise
+    summation order, so a row scored on its own and the same row scored
+    in a batch give the same bits.
+    """
+    mask = p > 0
+    terms = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
+    return terms.sum()
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
@@ -44,10 +65,33 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
     attack pushes mass into bins the training data never saw.
     """
     p, q = _validate_pair(p, q)
-    q = np.where(q <= 0, _SMOOTHING, q)
-    mask = p > 0
-    terms = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
-    return float(terms.sum() / np.log(base))
+    return float(_kl_terms_sum(p, _smoothed(q)) / np.log(base))
+
+
+def row_kl_divergences(
+    rows: np.ndarray, q: np.ndarray, base: float = 2.0
+) -> np.ndarray:
+    """``kl_divergence(row, q)`` for every row of a ``(rows, bins)`` matrix.
+
+    The inputs are validated once for the whole matrix and ``q`` is
+    smoothed once; each entry is bit-identical to the one-row call.
+    """
+    matrix = np.asarray(rows, dtype=float)
+    q = np.asarray(q, dtype=float).ravel()
+    if matrix.ndim != 2 or matrix.shape[1] != q.size:
+        raise ConfigurationError(
+            f"rows must be a (rows, {q.size}) matrix, got shape {matrix.shape}"
+        )
+    if matrix.size == 0:
+        raise ConfigurationError("distributions must be non-empty")
+    if matrix.min() < -1e-9 or q.min() < -1e-9:
+        raise ConfigurationError("distributions must be non-negative")
+    for total in matrix.sum(axis=1):
+        _check_sum("p", total)
+    _check_sum("q", q.sum())
+    q = _smoothed(q)
+    log_base = np.log(base)
+    return np.array([_kl_terms_sum(row, q) / log_base for row in matrix])
 
 
 def symmetric_kl_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError, NonFiniteInputError
 def _require_finite(arr: np.ndarray, what: str) -> None:
     """Reject NaN/inf early with a typed error.
 
-    A NaN reaching ``np.min``/``np.histogram`` does not raise — it
+    A NaN reaching ``np.min`` or the bin search does not raise — it
     poisons the edges and every downstream probability/KLD score turns
     NaN, silently disabling detection.  Failing loudly here lets the
     degraded-mode service skip the consumer with an event instead.
@@ -57,6 +57,37 @@ def histogram_edges(values: np.ndarray, bins: int) -> np.ndarray:
     return edges
 
 
+def binned_counts(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Count each row of a ``(rows, n)`` matrix into fixed-edge bins.
+
+    Returns ``(rows, bins)`` integer counts from one ``searchsorted`` and
+    one ``bincount`` over the whole matrix.  Bins are half-open
+    ``[e_j, e_{j+1})`` except the last, which also holds its upper edge,
+    so on values inside the edge range the counts equal
+    ``np.histogram``'s.  Values outside the range land in the first or
+    last bin, exactly as if clipped to the range first.  Callers reject
+    NaN before counting.
+    """
+    values = np.asarray(rows, dtype=float)
+    if values.ndim != 2:
+        raise ConfigurationError(
+            f"rows must be a 2-D (rows, n) matrix, got shape {values.shape}"
+        )
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ConfigurationError("edges must be a 1-D array of >= 2 values")
+    if (edges[1:] < edges[:-1]).any():
+        raise ConfigurationError("edges must increase monotonically")
+    n_rows, bins = values.shape[0], edges.size - 1
+    # Searching the interior edges only maps everything below e_1 to bin
+    # 0 and everything at or above e_{bins-1} to the last bin.
+    index = np.searchsorted(edges[1:-1], values, side="right")
+    index += bins * np.arange(n_rows)[:, np.newaxis]
+    return np.bincount(index.ravel(), minlength=n_rows * bins).reshape(
+        n_rows, bins
+    )
+
+
 def relative_frequencies(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Histogram ``values`` against ``edges``, normalised to sum to 1.
 
@@ -67,13 +98,22 @@ def relative_frequencies(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     detector is looking for.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
+    return _row_frequencies(arr[np.newaxis, :], edges)[0]
+
+
+def _row_frequencies(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """:func:`relative_frequencies` of every row of a ``(rows, n)`` matrix.
+
+    Row ``i`` of the result is bit-identical to
+    ``relative_frequencies(rows[i], edges)``: the counts are exact
+    integers, and each row is divided by its own integer total.
+    """
+    matrix = np.asarray(rows, dtype=float)
+    if matrix.ndim == 2 and matrix.shape[1] == 0:
         raise ConfigurationError("cannot histogram empty data")
-    _require_finite(arr, "relative_frequencies")
-    edges = np.asarray(edges, dtype=float)
-    clipped = np.clip(arr, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
-    return counts / counts.sum()
+    _require_finite(matrix, "relative_frequencies")
+    counts = binned_counts(matrix, edges)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -137,10 +177,15 @@ class FixedEdgeHistogram:
         """Relative frequency of ``values`` in each bin (sums to 1)."""
         return relative_frequencies(values, self.edges)
 
+    def row_probabilities(self, rows: np.ndarray) -> np.ndarray:
+        """Relative frequencies of each row of a ``(rows, n)`` matrix.
+
+        Row ``i`` is bit-identical to ``probabilities(rows[i])``.
+        """
+        return _row_frequencies(rows, self.edges)
+
     def counts(self, values: np.ndarray) -> np.ndarray:
         """Raw (clipped) counts of ``values`` in each bin."""
         arr = np.asarray(values, dtype=float).ravel()
         _require_finite(arr, "counts")
-        clipped = np.clip(arr, self.edges[0], self.edges[-1])
-        counts, _ = np.histogram(clipped, bins=self.edges)
-        return counts
+        return binned_counts(arr[np.newaxis, :], self.edges)[0]

@@ -20,6 +20,22 @@ class TestInjectionContext:
         assert means.size == injection_context.train_matrix.shape[0]
         assert np.all(injection_context.weekly_variances >= 0)
 
+    def test_weekly_moments_computed_once_and_read_only(self, injection_context):
+        means = injection_context.weekly_means
+        variances = injection_context.weekly_variances
+        assert injection_context.weekly_means is means
+        assert injection_context.weekly_variances is variances
+        assert np.array_equal(
+            means, injection_context.train_matrix.mean(axis=1)
+        )
+        assert np.array_equal(
+            variances, injection_context.train_matrix.var(axis=1)
+        )
+        with pytest.raises(ValueError):
+            means[0] = -1.0
+        with pytest.raises(ValueError):
+            variances[0] = -1.0
+
     def test_rejects_wrong_week_length(self, rng):
         with pytest.raises(InjectionError):
             InjectionContext(

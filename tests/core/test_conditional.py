@@ -96,3 +96,42 @@ class TestConfiguration:
         scheme = RealTimePricing(prices=prices, update_period=1)
         detector = PriceConditionedKLDDetector(pricing=scheme).fit(train_matrix)
         assert len(detector.price_levels) == 3
+
+
+class TestBatchedFitMatchesPerWeek:
+    """Each price level's one-call fit gives today's K_i bit for bit."""
+
+    @pytest.mark.parametrize("matrix_kind", ["train", "empty_bins"])
+    def test_divergences_and_threshold_equal(self, train_matrix, matrix_kind):
+        from repro.stats.divergence import kl_divergence
+        from repro.stats.percentile import EmpiricalDistribution
+
+        matrix = train_matrix[:20].copy()
+        if matrix_kind == "empty_bins":
+            matrix[2] = 0.0
+            matrix[5, ::3] = matrix.max()
+        detector = PriceConditionedKLDDetector(
+            pricing=TimeOfUsePricing(), bins=10, significance=0.05
+        ).fit(matrix)
+        empty_rows = 0
+        for level, mask in detector._masks.items():
+            edges = detector._histograms[level].edges
+
+            def freqs(values):
+                clipped = np.clip(np.ravel(values), edges[0], edges[-1])
+                counts, _ = np.histogram(clipped, bins=edges)
+                return counts / counts.sum()
+
+            reference = freqs(matrix[:, mask])
+            weeks = [freqs(week[mask]) for week in matrix]
+            empty_rows += sum(np.any(p == 0) for p in weeks)
+            expected = np.array([kl_divergence(p, reference) for p in weeks])
+            assert np.array_equal(detector._references[level], reference)
+            assert np.array_equal(
+                detector._distributions[level].samples, np.sort(expected)
+            )
+            assert detector._thresholds[level] == EmpiricalDistribution(
+                expected
+            ).upper_tail_threshold(0.05)
+        if matrix_kind == "empty_bins":
+            assert empty_rows >= 2

@@ -215,3 +215,53 @@ class TestInputHardening:
         observed = np.zeros(SLOTS_PER_WEEK, dtype=bool)
         with pytest.raises(DataError):
             fitted._score_partial_week(week, observed)
+
+
+def _numpy_frequencies(values, edges):
+    clipped = np.clip(np.ravel(values), edges[0], edges[-1])
+    counts, _ = np.histogram(clipped, bins=edges)
+    return counts / counts.sum()
+
+
+def _matrix_with_empty_bins(train_matrix):
+    """Real weeks plus weeks that leave most bins empty."""
+    matrix = train_matrix[:20].copy()
+    matrix[3] = 0.0
+    matrix[7] = train_matrix.max()
+    matrix[11, ::2] = 0.0
+    return matrix
+
+
+class TestBatchedFitMatchesPerWeek:
+    """The one-call training histogram gives today's K_i bit for bit."""
+
+    @pytest.mark.parametrize("binning", ["width", "mass"])
+    @pytest.mark.parametrize("significance", [0.05, 0.10])
+    @pytest.mark.parametrize("matrix_kind", ["train", "empty_bins"])
+    def test_divergences_and_threshold_equal(
+        self, train_matrix, binning, significance, matrix_kind
+    ):
+        from repro.stats.divergence import kl_divergence
+        from repro.stats.percentile import EmpiricalDistribution
+
+        matrix = (
+            train_matrix
+            if matrix_kind == "train"
+            else _matrix_with_empty_bins(train_matrix)
+        )
+        detector = KLDDetector(
+            bins=10, significance=significance, binning=binning
+        ).fit(matrix)
+        edges = detector.histogram.edges
+        reference = _numpy_frequencies(matrix, edges)
+        weeks = [_numpy_frequencies(week, edges) for week in matrix]
+        expected = np.array([kl_divergence(p, reference) for p in weeks])
+        if matrix_kind == "empty_bins":
+            assert sum(np.any(p == 0) for p in weeks) >= 2
+        assert np.array_equal(detector.reference_distribution, reference)
+        assert np.array_equal(
+            detector.training_divergences.samples, np.sort(expected)
+        )
+        assert detector.threshold == EmpiricalDistribution(
+            expected
+        ).upper_tail_threshold(significance)

@@ -117,3 +117,35 @@ class TestPerceivedBenefit:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(PricingError):
             perceived_benefit(np.ones(2), np.ones(2) * 0.2, np.ones(3) * 0.3)
+
+
+class TestOnePriceVectorPerCall:
+    """Each billing call builds its window's price vector exactly once."""
+
+    @staticmethod
+    def _counting_tariff():
+        calls = []
+
+        class CountingTOU(TimeOfUsePricing):
+            def price_vector(self, n_slots, start=0):
+                calls.append((n_slots, start))
+                return super().price_vector(n_slots, start)
+
+        return CountingTOU(), calls
+
+    @pytest.mark.parametrize(
+        "func", [attacker_profit, neighbour_loss, bill]
+    )
+    def test_pair_functions(self, func):
+        tariff, calls = self._counting_tariff()
+        args = (np.full(48, 2.0),) if func is bill else (
+            np.full(48, 2.0), np.full(48, 1.0)
+        )
+        reference = func(*args, TimeOfUsePricing(), start=5)
+        assert func(*args, tariff, start=5) == reference
+        assert calls == [(48, 5)]
+
+    def test_perceived_benefit(self):
+        tariff, calls = self._counting_tariff()
+        perceived_benefit(np.ones(4), tariff, np.full(4, 0.5), start=18)
+        assert calls == [(4, 18)]

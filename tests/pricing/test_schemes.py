@@ -112,3 +112,122 @@ class TestRealTime:
 
     def test_is_variable(self):
         assert RealTimePricing(prices=np.array([0.1])).is_variable
+
+
+def _rtp_long() -> RealTimePricing:
+    return RealTimePricing.simulate(n_slots=1200, update_period=3, seed=9)
+
+
+#: One scheme of each kind, plus a custom TOU window and an RTP series
+#: that advances every polling slot.
+ARRAY_SCHEMES = {
+    "flat": FlatRatePricing(rate=0.23),
+    "tou": ELECTRIC_IRELAND_NIGHTSAVER,
+    "tou_custom": TimeOfUsePricing(
+        peak_rate=0.3, offpeak_rate=0.1, peak_start_slot=5, peak_end_slot=41
+    ),
+    "rtp_period_1": RealTimePricing(
+        prices=np.arange(1, 1201) / 1000.0, update_period=1
+    ),
+    "rtp_period_3": _rtp_long(),
+}
+
+#: Window starts across day (48) and week (336) boundaries.
+STARTS = (0, 1, 17, 18, 47, 48, 49, 335, 336, 337, 671, 672, 700)
+LENGTHS = (0, 1, 2, 30, 48, 49, 336)
+
+
+def _reference_price(scheme, t: int) -> float:
+    """The tariff definitions, slot by slot, independent of the arrays."""
+    if isinstance(scheme, FlatRatePricing):
+        return scheme.rate
+    if isinstance(scheme, TimeOfUsePricing):
+        peak = scheme.peak_start_slot <= t % SLOTS_PER_DAY < scheme.peak_end_slot
+        return scheme.peak_rate if peak else scheme.offpeak_rate
+    return float(scheme.prices[t // scheme.update_period])
+
+
+class TestArrayTariffs:
+    """``price_vector`` is the single implementation; ``price`` a view."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_SCHEMES))
+    @pytest.mark.parametrize("start", STARTS)
+    def test_vector_equals_scalar_prices(self, name, start):
+        scheme = ARRAY_SCHEMES[name]
+        for n in LENGTHS:
+            vec = scheme.price_vector(n, start=start)
+            assert vec.dtype == np.float64
+            assert np.array_equal(
+                vec, np.array([scheme.price(start + i) for i in range(n)])
+            )
+            assert np.array_equal(
+                vec,
+                np.array(
+                    [_reference_price(scheme, start + i) for i in range(n)],
+                    dtype=float,
+                ),
+            )
+
+    @pytest.mark.parametrize("name", ["tou", "tou_custom"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_peak_mask_equals_is_peak(self, name, start):
+        scheme = ARRAY_SCHEMES[name]
+        mask = scheme.peak_mask(SLOTS_PER_WEEK, start=start)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(
+            mask,
+            np.array([scheme.is_peak(start + i) for i in range(SLOTS_PER_WEEK)]),
+        )
+        assert np.array_equal(
+            mask,
+            np.array(
+                [
+                    scheme.peak_start_slot
+                    <= (start + i) % SLOTS_PER_DAY
+                    < scheme.peak_end_slot
+                    for i in range(SLOTS_PER_WEEK)
+                ]
+            ),
+        )
+
+    def test_rtp_update_period_holds_each_price(self):
+        scheme = RealTimePricing(prices=np.array([0.1, 0.2, 0.3]), update_period=3)
+        assert np.array_equal(
+            scheme.price_vector(7, start=2),
+            np.array([0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3]),
+        )
+
+    def test_rtp_vector_does_not_alias_the_series(self):
+        scheme = RealTimePricing(prices=np.array([0.1, 0.2]), update_period=1)
+        scheme.price_vector(2)[:] = 9.0
+        assert np.array_equal(scheme.prices, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_SCHEMES))
+    def test_negative_start_raises(self, name):
+        scheme = ARRAY_SCHEMES[name]
+        with pytest.raises(PricingError, match="time period must be >= 0"):
+            scheme.price_vector(3, start=-1)
+        with pytest.raises(PricingError, match="time period must be >= 0"):
+            scheme.price(-2)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_SCHEMES))
+    def test_negative_length_raises(self, name):
+        with pytest.raises(PricingError, match="n_slots must be >= 0"):
+            ARRAY_SCHEMES[name].price_vector(-1)
+
+    def test_tou_is_peak_rejects_negative_slot(self):
+        with pytest.raises(PricingError):
+            TimeOfUsePricing().is_peak(-1)
+        with pytest.raises(PricingError):
+            TimeOfUsePricing().peak_mask(4, start=-3)
+
+    def test_rtp_horizon_is_exact(self):
+        scheme = RealTimePricing(prices=np.array([0.1, 0.2]), update_period=3)
+        assert scheme.price_vector(6).size == 6  # slots 0..5: in horizon
+        assert scheme.price_vector(0, start=6).size == 0
+        with pytest.raises(PricingError, match="time period 6 beyond"):
+            scheme.price_vector(7)
+        with pytest.raises(PricingError, match="time period 8 beyond"):
+            scheme.price_vector(2, start=8)
+        with pytest.raises(PricingError, match="time period 6 beyond"):
+            scheme.price(6)

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.stats.divergence import (
     js_divergence,
     kl_divergence,
+    row_kl_divergences,
     symmetric_kl_divergence,
 )
 
@@ -87,3 +88,48 @@ class TestSymmetricAndJS:
     def test_js_zero_for_identical(self):
         p = np.array([0.3, 0.7])
         assert js_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestValidationEdges:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_total(self, bad):
+        with pytest.raises(ConfigurationError):
+            kl_divergence(np.array([bad, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ConfigurationError):
+            kl_divergence(np.array([0.5, 0.5]), np.array([0.5, bad]))
+
+    def test_sum_tolerance_matches_isclose(self):
+        q = np.array([0.5, 0.5])
+        inside = np.array([0.5, 0.5 + 1.09e-5])
+        outside = np.array([0.5, 0.5 + 1.11e-5])
+        assert np.isclose(inside.sum(), 1.0, atol=1e-6)
+        assert not np.isclose(outside.sum(), 1.0, atol=1e-6)
+        kl_divergence(inside, q)
+        with pytest.raises(ConfigurationError):
+            kl_divergence(outside, q)
+
+
+class TestRowDivergences:
+    def test_rows_equal_one_row_calls(self, rng):
+        q = rng.dirichlet(np.ones(10))
+        q[3] = 0.0
+        q /= q.sum()
+        rows = rng.dirichlet(np.ones(10), size=12)
+        rows[0, [1, 4, 5]] = 0.0  # fewer than eight terms to sum
+        rows[0] /= rows[0].sum()
+        rows[1] = np.eye(10)[3]  # all mass in q's empty bin
+        batched = row_kl_divergences(rows, q)
+        assert np.array_equal(
+            batched, np.array([kl_divergence(p, q) for p in rows])
+        )
+
+    def test_rejects_bad_rows(self):
+        q = np.array([0.5, 0.5])
+        with pytest.raises(ConfigurationError):
+            row_kl_divergences(np.array([[0.5, 0.6]]), q)
+        with pytest.raises(ConfigurationError):
+            row_kl_divergences(np.array([[1.5, -0.5]]), q)
+        with pytest.raises(ConfigurationError):
+            row_kl_divergences(np.array([0.5, 0.5]), q)
+        with pytest.raises(ConfigurationError):
+            row_kl_divergences(np.array([[1.0]]), q)

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.stats.histogram import (
     FixedEdgeHistogram,
+    binned_counts,
     histogram_edges,
     relative_frequencies,
 )
@@ -164,3 +165,94 @@ class TestNonFiniteHardening:
         from repro.errors import DataError, NonFiniteInputError
 
         assert issubclass(NonFiniteInputError, DataError)
+
+
+def _numpy_counts(rows, edges):
+    """Per-row ``np.histogram`` of clipped values: the reference counts."""
+    clipped = np.clip(rows, edges[0], edges[-1])
+    return np.array([np.histogram(row, bins=edges)[0] for row in clipped])
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(2016)
+    edges = np.linspace(0.0, 2.0, 11)
+    random = rng.gamma(2.0, 0.4, size=(6, 336))
+    ties = rng.choice(np.array([0.1, 0.5, 0.5, 1.3]), size=(5, 336))
+    zeros = np.zeros((3, 336))
+    zeros[1, ::7] = 0.9
+    on_edges = rng.choice(edges, size=(4, 336))
+    on_edges[0, :] = edges[-1]
+    on_edges[1, :11] = edges
+    out_of_range = rng.uniform(-3.0, 5.0, size=(4, 336))
+    constant = np.full((2, 336), 0.7)
+    constant_edges = histogram_edges(constant, bins=10)
+    return {
+        "random": (random, histogram_edges(random, bins=10)),
+        "heavy_ties": (ties, histogram_edges(ties, bins=10)),
+        "zeros": (zeros, histogram_edges(zeros, bins=10)),
+        "interior_and_last_edges": (on_edges, edges),
+        "out_of_range": (out_of_range, edges),
+        "constant": (constant, constant_edges),
+        "single_row": (random[:1], edges),
+        "mass_edges_with_ties": (
+            ties, FixedEdgeHistogram.from_quantiles(ties, bins=10).edges
+        ),
+    }
+
+
+class TestRowKernelMatchesNumpy:
+    """The row kernel reproduces ``np.histogram``'s counts exactly."""
+
+    @pytest.mark.parametrize("case", sorted(_kernel_cases()))
+    def test_counts_equal_numpy_on_clipped_data(self, case):
+        rows, edges = _kernel_cases()[case]
+        expected = _numpy_counts(rows, edges)
+        clipped = np.clip(rows, edges[0], edges[-1])
+        assert np.array_equal(binned_counts(clipped, edges), expected)
+        # Unclipped input lands in the end bins, exactly as if clipped.
+        assert np.array_equal(binned_counts(rows, edges), expected)
+
+    @pytest.mark.parametrize("case", sorted(_kernel_cases()))
+    def test_one_row_calls_equal_numpy(self, case):
+        rows, edges = _kernel_cases()[case]
+        expected = _numpy_counts(rows, edges)
+        hist = FixedEdgeHistogram(edges)
+        for row, want in zip(rows, expected):
+            assert np.array_equal(hist.counts(row), want)
+            assert np.array_equal(
+                relative_frequencies(row, edges), want / want.sum()
+            )
+            assert np.array_equal(hist.probabilities(row), want / want.sum())
+
+    @pytest.mark.parametrize("case", sorted(_kernel_cases()))
+    def test_batched_rows_equal_one_row_calls(self, case):
+        rows, edges = _kernel_cases()[case]
+        batched = FixedEdgeHistogram(edges).row_probabilities(rows)
+        assert np.array_equal(
+            batched, np.array([relative_frequencies(r, edges) for r in rows])
+        )
+
+    def test_counts_dtype_is_integer(self):
+        counts = binned_counts(np.array([[0.5, 1.5]]), np.array([0.0, 1.0, 2.0]))
+        assert counts.dtype.kind == "i"
+
+    def test_empty_rows_count_nothing(self):
+        counts = FixedEdgeHistogram(np.array([0.0, 1.0, 2.0])).counts(
+            np.array([])
+        )
+        assert np.array_equal(counts, np.zeros(2, dtype=int))
+
+    def test_rejects_one_dimensional_rows(self):
+        with pytest.raises(ConfigurationError):
+            binned_counts(np.array([0.5, 1.5]), np.array([0.0, 1.0, 2.0]))
+
+    def test_rejects_decreasing_edges(self):
+        with pytest.raises(ConfigurationError):
+            relative_frequencies(np.array([0.5]), np.array([0.0, 2.0, 1.0]))
+
+    def test_row_probabilities_rejects_nan(self):
+        from repro.errors import NonFiniteInputError
+
+        rows = np.array([[0.5, 0.6], [0.5, np.nan]])
+        with pytest.raises(NonFiniteInputError):
+            FixedEdgeHistogram(np.array([0.0, 1.0])).row_probabilities(rows)
