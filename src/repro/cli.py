@@ -12,8 +12,8 @@ Subcommands:
   and a reading-integrity quarantine report (``--quarantine-report``).
   Overload controls: a bounded ingestion queue (``--max-queue``),
   priority load shedding (``--shed-policy``), per-cycle deadlines
-  (``--cycle-deadline-ms``), and a self-healing supervised worker
-  fleet (``--shards``).  Exit status 4 marks a run that completed only
+  (``--cycle-deadline-ms``), and a self-healing shard fleet
+  (``--shards N`` or ``--elastic``).  Exit status 4 marks a run that completed only
   by shedding load or overrunning its deadline (valid reports,
   degraded coverage — revisit capacity).  Event-time mode
   (``--eventtime``) delivers readings out of order through a
@@ -130,7 +130,7 @@ def _add_ops_options(parser: argparse.ArgumentParser) -> None:
         type=str,
         default=None,
         help="write the SLO burn-rate report (JSON) here (requires "
-        "--elastic)",
+        "--elastic or --shards > 1)",
     )
     parser.add_argument(
         "--profile-out",
@@ -358,29 +358,26 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             if args.fault_ledger_out:
-                import json
+                _write_ledger(
+                    "fault ledger", args.fault_ledger_out, schedule.to_dict()
+                )
 
-                try:
-                    with open(
-                        args.fault_ledger_out, "w", encoding="utf-8"
-                    ) as handle:
-                        json.dump(
-                            schedule.to_dict(),
-                            handle,
-                            indent=2,
-                            sort_keys=True,
-                        )
-                except OSError as exc:
-                    print(
-                        "warning: could not write fault ledger to "
-                        f"{args.fault_ledger_out!r}: {exc}",
-                        file=sys.stderr,
-                    )
-                else:
-                    print(
-                        f"wrote fault ledger to {args.fault_ledger_out}",
-                        file=sys.stderr,
-                    )
+
+def _write_ledger(label: str, path: str, ledger: dict) -> None:
+    """Write a fault-injection ledger with plain stdlib IO, so the seam
+    whose faults it documents can never fault the ledger itself."""
+    import json
+
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(ledger, handle, indent=2, sort_keys=True)
+    except OSError as exc:
+        print(
+            f"warning: could not write {label} to {path!r}: {exc}",
+            file=sys.stderr,
+        )
+    else:
+        print(f"wrote {label} to {path}", file=sys.stderr)
 
 
 def _monitor_command(args: argparse.Namespace) -> int:
@@ -403,16 +400,9 @@ def _monitor_command(args: argparse.Namespace) -> int:
         StorageDegradedError,
         StorageError,
     )
-    from repro.loadcontrol import (
-        BufferedIngestor,
-        LoadControlConfig,
-        ShedPolicy,
-        Supervisor,
-        make_shards,
-    )
-    from repro.metering.channel import LossyChannel
+    from repro.loadcontrol import BufferedIngestor, LoadControlConfig, ShedPolicy
     from repro.quarantine import FirewallPolicy, ReadingFirewall
-    from repro.resilience import FaultInjector, FaultyChannel, ResilienceConfig
+    from repro.resilience import ResilienceConfig
     from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
     if args.recover and not args.wal_dir:
@@ -421,20 +411,36 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and not args.wal_dir:
+    # A fleet run: --elastic, or more than one shard.  Both run on the
+    # same ElasticFleet, which keeps its manifest and every shard's WAL
+    # and checkpoint under --wal-dir.
+    fleet = args.elastic or args.shards > 1
+    if fleet and not args.wal_dir:
         print(
-            "--shards > 1 requires --wal-dir (per-shard WALs and "
-            "checkpoints live under it)",
+            "--elastic/--shards > 1 requires --wal-dir (the fleet "
+            "manifest and per-shard WALs/checkpoints live under it)",
             file=sys.stderr,
         )
         return 2
-    if args.shards > 1 and args.checkpoint:
+    if fleet and args.checkpoint:
         print(
-            "--shards > 1 manages per-shard checkpoints under --wal-dir; "
-            "drop --checkpoint",
+            "--elastic/--shards > 1 manages per-shard checkpoints under "
+            "--wal-dir; drop --checkpoint",
             file=sys.stderr,
         )
         return 2
+    for flag, given in (
+        ("--grow-at-week", args.grow_at_week is not None),
+        ("--network-faults", args.network_faults),
+        ("--slo-out", args.slo_out),
+        ("--health-out", args.health_out),
+    ):
+        if given and not fleet:
+            print(
+                f"{flag} requires --elastic or --shards > 1",
+                file=sys.stderr,
+            )
+            return 2
     if args.scrub and not (args.wal_dir and args.checkpoint):
         print(
             "--scrub requires --wal-dir and --checkpoint (it verifies "
@@ -445,27 +451,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
         return 2
     if args.checkpoint_generations < 1:
         print("--checkpoint-generations must be >= 1", file=sys.stderr)
-        return 2
-    if args.grow_at_week is not None and not args.elastic:
-        print("--grow-at-week requires --elastic", file=sys.stderr)
-        return 2
-    if args.elastic:
-        if not args.wal_dir:
-            print(
-                "--elastic requires --wal-dir (the fleet manifest and "
-                "per-shard WALs/checkpoints live under it)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.checkpoint:
-            print(
-                "--elastic manages per-shard checkpoints under --wal-dir; "
-                "drop --checkpoint",
-                file=sys.stderr,
-            )
-            return 2
-    if args.network_faults and not args.elastic:
-        print("--network-faults requires --elastic", file=sys.stderr)
         return 2
     if args.transport_ledger_out and not args.network_faults:
         print(
@@ -485,7 +470,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.lineage_out and not args.integrity:
         print("--lineage-out requires --integrity", file=sys.stderr)
         return 2
-    if args.lineage_out and (args.eventtime or args.elastic or args.shards > 1):
+    if args.lineage_out and (args.eventtime or fleet):
         print(
             "--lineage-out needs the single-service monitor "
             "(drop --eventtime/--elastic/--shards)",
@@ -510,17 +495,8 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.ramp_attack is not None and args.ramp_start_week < 0:
         print("--ramp-start-week must be >= 0", file=sys.stderr)
         return 2
-    if args.slo_out and not args.elastic:
-        print("--slo-out requires --elastic", file=sys.stderr)
-        return 2
-    if args.health_out and not (args.elastic or args.shards > 1):
-        print(
-            "--health-out requires --elastic or --shards > 1",
-            file=sys.stderr,
-        )
-        return 2
     if args.eventtime:
-        if args.shards > 1 or args.elastic:
+        if fleet:
             print(
                 "--eventtime does not support --shards > 1 or --elastic",
                 file=sys.stderr,
@@ -644,19 +620,8 @@ def _monitor_command(args: argparse.Namespace) -> int:
             events=events,
         )
 
-    if args.elastic:
-        return _run_monitor_elastic(
-            args,
-            ids=ids,
-            series=series,
-            weeks=weeks,
-            factory=factory,
-            fresh_service=fresh_service,
-            events=events,
-        )
-
-    if args.shards > 1:
-        return _run_monitor_sharded(
+    if fleet:
+        return _run_monitor_fleet(
             args,
             ids=ids,
             series=series,
@@ -786,12 +751,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
             metrics=service.metrics,
             events=events,
         )
-    channel = FaultyChannel(
-        channel=LossyChannel(
-            drop_rate=args.drop_rate, outage_rate=args.outage_rate
-        ),
-        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
-    )
+    channel = _monitor_channel(args)
     start_slot = service.cycles_ingested
     ingested = 0
     storage_degraded = False
@@ -804,17 +764,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
         readings = {cid: float(series[cid][t]) for cid in ids}
         delivered = channel.transmit(readings, cycle_rng)
         try:
-            if ingestor is not None:
-                if not ingestor.submit(delivered):
-                    # Queue full: this replay driver is also the
-                    # consumer, so "hold and re-offer" means drain one
-                    # cycle first.
-                    ingestor.drain(max_cycles=1)
-                    ingestor.submit(delivered)
-                drained = ingestor.drain()
-                report = drained[-1] if drained else None
-            else:
-                report = ingest(delivered)
+            report = _ingest_cycle(ingestor, ingest, delivered)
         except StorageDegradedError as exc:
             # Disk full: the monitor refused the cycle *before* any
             # byte landed, so nothing acknowledged is lost.  Committed
@@ -835,38 +785,10 @@ def _monitor_command(args: argparse.Namespace) -> int:
             args.crash_after_cycle is not None
             and ingested >= args.crash_after_cycle
         ):
-            # A hard kill, not an exception: skips Python cleanup so the
-            # WAL is left exactly as a power cut would leave it.
-            print(
-                f"simulated crash after {ingested} cycle(s) (cycle {t})",
-                file=sys.stderr,
-            )
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(3)
+            _simulated_crash(f"{ingested} cycle(s) (cycle {t})")
         if report is None:
             continue
-        mean_coverage = (
-            sum(report.coverage.values()) / len(report.coverage)
-            if report.coverage
-            else float("nan")
-        )
-        week_line = (
-            f"week {report.week_index:>3}: "
-            f"{len(report.alerts)} alert(s), "
-            f"coverage {mean_coverage:.1%}, "
-            f"{len(report.quarantined)} quarantined, "
-            f"{len(report.suppressed)} suppressed"
-        )
-        if loadcontrol is not None:
-            week_line += f", {len(report.shed)} shed"
-        print(week_line)
-        for alert in report.alerts:
-            print(
-                f"    {alert.consumer_id}: {alert.nature.value} "
-                f"(severity {alert.severity:.2f}, "
-                f"coverage {alert.coverage:.1%})"
-            )
+        _print_monitor_week(report, shed=loadcontrol is not None)
         if args.checkpoint and monitor is None:
             try:
                 service.checkpoint(args.checkpoint)
@@ -966,25 +888,71 @@ def _monitor_exit_status(
     return 0
 
 
-def _print_monitor_week(report, suffix: str = "") -> None:
-    mean_coverage = (
-        sum(report.coverage.values()) / len(report.coverage)
-        if report.coverage
-        else float("nan")
+def _monitor_channel(args: argparse.Namespace):
+    """The lossy, fault-injecting AMI link every monitor run reads over."""
+    from repro.metering.channel import LossyChannel
+    from repro.resilience import FaultInjector, FaultyChannel
+
+    return FaultyChannel(
+        channel=LossyChannel(
+            drop_rate=args.drop_rate, outage_rate=args.outage_rate
+        ),
+        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
     )
-    print(
-        f"week {report.week_index:>3}: "
-        f"{len(report.alerts)} alert(s), "
+
+
+def _ingest_cycle(ingestor, ingest, delivered):
+    """Ingest one delivered cycle, through the load-control buffer when
+    one is configured; returns what ``ingest`` returned for it."""
+    if ingestor is None:
+        return ingest(delivered)
+    if not ingestor.submit(delivered):
+        # Queue full: this replay driver is also the consumer, so "hold
+        # and re-offer" means drain one cycle first.
+        ingestor.drain(max_cycles=1)
+        ingestor.submit(delivered)
+    drained = ingestor.drain()
+    return drained[-1] if drained else None
+
+
+def _simulated_crash(detail: str) -> None:
+    """``--crash-after-cycle``: a hard kill, not an exception.  Skips
+    Python cleanup so the WAL is left exactly as a power cut would
+    leave it."""
+    import os
+
+    print(f"simulated crash after {detail}", file=sys.stderr)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(3)
+
+
+def _print_monitor_week(*reports, suffix: str = "", shed: bool = False) -> None:
+    """Print one week's verdict line and its alerts.
+
+    A fleet passes every shard's report for the week; the line then
+    sums them (coverage is the mean over all of their consumers).
+    ``shed`` adds the shed consumer-week count (load-control runs).
+    """
+    coverage = [value for r in reports for value in r.coverage.values()]
+    mean_coverage = sum(coverage) / len(coverage) if coverage else float("nan")
+    line = (
+        f"week {reports[0].week_index:>3}: "
+        f"{sum(len(r.alerts) for r in reports)} alert(s), "
         f"coverage {mean_coverage:.1%}, "
-        f"{len(report.quarantined)} quarantined, "
-        f"{len(report.suppressed)} suppressed" + suffix
+        f"{sum(len(r.quarantined) for r in reports)} quarantined, "
+        f"{sum(len(r.suppressed) for r in reports)} suppressed"
     )
-    for alert in report.alerts:
-        print(
-            f"    {alert.consumer_id}: {alert.nature.value} "
-            f"(severity {alert.severity:.2f}, "
-            f"coverage {alert.coverage:.1%})"
-        )
+    if shed:
+        line += f", {sum(len(r.shed) for r in reports)} shed"
+    print(line + suffix)
+    for report in reports:
+        for alert in report.alerts:
+            print(
+                f"    {alert.consumer_id}: {alert.nature.value} "
+                f"(severity {alert.severity:.2f}, "
+                f"coverage {alert.coverage:.1%})"
+            )
 
 
 def _run_monitor_eventtime(
@@ -1009,8 +977,6 @@ def _run_monitor_eventtime(
     a recovered run (``--recover`` with ``--wal-dir``) regenerates it
     and skips the batches the write-ahead log already holds.
     """
-    import os
-
     import numpy as np
 
     from repro.durability.wal import WriteAheadLog
@@ -1020,9 +986,7 @@ def _run_monitor_eventtime(
         EventTimeIngestor,
         replay_eventtime,
     )
-    from repro.metering.channel import LossyChannel
     from repro.metering.scramble import ScramblingChannel
-    from repro.resilience import FaultInjector, FaultyChannel
     from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
     try:
@@ -1043,12 +1007,7 @@ def _run_monitor_eventtime(
     def service_factory():
         return fresh_service(eventtime=config)
 
-    channel = FaultyChannel(
-        channel=LossyChannel(
-            drop_rate=args.drop_rate, outage_rate=args.outage_rate
-        ),
-        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
-    )
+    channel = _monitor_channel(args)
     batches: list[list] = []
     for t in range(weeks * SLOTS_PER_WEEK):
         cycle_rng = np.random.default_rng((args.seed + 1, t))
@@ -1096,14 +1055,7 @@ def _run_monitor_eventtime(
             args.crash_after_cycle is not None
             and delivered_batches >= args.crash_after_cycle
         ):
-            print(
-                f"simulated crash after {delivered_batches} delivery "
-                "batch(es)",
-                file=sys.stderr,
-            )
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(3)
+            _simulated_crash(f"{delivered_batches} delivery batch(es)")
         for report in outcome.reports:
             _print_monitor_week(report, suffix=" (provisional)")
         for revision in outcome.revisions:
@@ -1175,7 +1127,7 @@ def _run_monitor_eventtime(
     )
 
 
-def _run_monitor_sharded(
+def _run_monitor_fleet(
     args: argparse.Namespace,
     ids,
     series,
@@ -1185,220 +1137,21 @@ def _run_monitor_sharded(
     loadcontrol,
     events,
 ) -> int:
-    """``monitor --shards N``: the supervised worker-fleet path.
-
-    Each shard is a DurableTheftMonitor over its own WAL directory and
-    checkpoint under ``--wal-dir``; the supervisor recovers any shard
-    with existing durable state at start, so ``--recover`` is implicit.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.errors import ConfigurationError, StorageDegradedError
-    from repro.loadcontrol import BufferedIngestor, Supervisor, make_shards
-    from repro.metering.channel import LossyChannel
-    from repro.observability.metrics import MetricsRegistry
-    from repro.resilience import FaultInjector, FaultyChannel
-    from repro.timeseries.seasonal import SLOTS_PER_WEEK
-
-    fleet_metrics = MetricsRegistry()
-    try:
-        shards = make_shards(ids, args.shards, args.wal_dir)
-        supervisor = Supervisor(
-            shards,
-            service_factory=lambda spec: fresh_service(spec.consumers),
-            detector_factory=factory,
-            metrics=fleet_metrics,
-            events=events,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    profiler = None
-    if args.profile_out:
-        from repro.observability.ops import StageProfiler
-
-        profiler = StageProfiler()
-        for svc in supervisor.services().values():
-            if svc.profiler is None:
-                svc.profiler = profiler
-    ingest = supervisor.ingest_cycle
-    ingestor = None
-    if loadcontrol is not None:
-        ingestor = BufferedIngestor(
-            ingest, config=loadcontrol, metrics=fleet_metrics, events=events
-        )
-    channel = FaultyChannel(
-        channel=LossyChannel(
-            drop_rate=args.drop_rate, outage_rate=args.outage_rate
-        ),
-        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
-    )
-    start_slot = supervisor.cycle
-    if start_slot:
-        print(
-            f"fleet resumed at cycle {start_slot} "
-            f"({args.shards} shard(s) recovered from {args.wal_dir})",
-            file=sys.stderr,
-        )
-    ingested = 0
-    storage_degraded = False
-    for t in range(start_slot, weeks * SLOTS_PER_WEEK):
-        cycle_rng = np.random.default_rng((args.seed + 1, t))
-        readings = {cid: float(series[cid][t]) for cid in ids}
-        delivered = channel.transmit(readings, cycle_rng)
-        try:
-            if ingestor is not None:
-                if not ingestor.submit(delivered):
-                    ingestor.drain(max_cycles=1)
-                    ingestor.submit(delivered)
-                drained = ingestor.drain()
-                result = drained[-1] if drained else None
-            else:
-                result = ingest(delivered)
-        except StorageDegradedError as exc:
-            print(f"storage degraded at cycle {t}: {exc}", file=sys.stderr)
-            storage_degraded = True
-            break
-        ingested += 1
-        if (
-            args.crash_after_cycle is not None
-            and ingested >= args.crash_after_cycle
-        ):
-            print(
-                f"simulated crash after {ingested} cycle(s) (cycle {t})",
-                file=sys.stderr,
-            )
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(3)
-        shard_reports = (
-            [r for r in result.values() if r is not None]
-            if isinstance(result, dict)
-            else []
-        )
-        if not shard_reports:
-            continue
-        week_index = shard_reports[0].week_index
-        alerts = [a for r in shard_reports for a in r.alerts]
-        coverage = [
-            value for r in shard_reports for value in r.coverage.values()
-        ]
-        mean_coverage = (
-            sum(coverage) / len(coverage) if coverage else float("nan")
-        )
-        quarantined = sum(len(r.quarantined) for r in shard_reports)
-        suppressed = sum(len(r.suppressed) for r in shard_reports)
-        shed = sum(len(r.shed) for r in shard_reports)
-        week_line = (
-            f"week {week_index:>3}: "
-            f"{len(alerts)} alert(s), "
-            f"coverage {mean_coverage:.1%}, "
-            f"{quarantined} quarantined, "
-            f"{suppressed} suppressed"
-        )
-        if loadcontrol is not None:
-            week_line += f", {shed} shed"
-        week_line += f" [{len(shard_reports)}/{args.shards} shards]"
-        print(week_line)
-        for r in shard_reports:
-            for alert in r.alerts:
-                print(
-                    f"    {alert.consumer_id}: {alert.nature.value} "
-                    f"(severity {alert.severity:.2f}, "
-                    f"coverage {alert.coverage:.1%})"
-                )
-    services = supervisor.services()
-    attackers = [
-        cid for svc in services.values() for cid in svc.suspected_attackers()
-    ]
-    victims = [
-        cid for svc in services.values() for cid in svc.suspected_victims()
-    ]
-    total_alerts = sum(
-        len(report.alerts)
-        for svc in services.values()
-        for report in svc.reports
-    )
-    shed_total = sum(
-        len(report.shed)
-        for svc in services.values()
-        for report in svc.reports
-    )
-    weeks_completed = min(
-        (svc.weeks_completed for svc in services.values()), default=0
-    )
-    print(
-        f"monitored {len(ids)} consumers for {weeks_completed} weeks "
-        f"across {args.shards} shards"
-    )
-    print(f"total alerts: {total_alerts}")
-    print(f"suspected attackers: {sorted(attackers) or 'none'}")
-    print(f"suspected victims:   {sorted(victims) or 'none'}")
-    quarantined_readings = sum(
-        len(svc.firewall.store)
-        for svc in services.values()
-        if svc.firewall is not None
-    )
-    print(f"quarantined readings: {quarantined_readings}")
-    print(f"supervisor restarts: {supervisor.restarts_total}")
-    if args.health_out:
-        from repro.storage import atomic_write_json
-
-        _safe_export(
-            "health report",
-            args.health_out,
-            lambda: atomic_write_json(
-                args.health_out,
-                supervisor.health_snapshot(),
-                site="export.health",
-                sort_keys=True,
-            ),
-        )
-    if profiler is not None:
-        _safe_export(
-            "stage profile",
-            args.profile_out,
-            lambda: profiler.write(args.profile_out),
-        )
-    supervisor.close()
-    for svc in services.values():
-        fleet_metrics.merge_snapshot(svc.metrics.snapshot())
-    _write_observability_outputs(args, fleet_metrics, None)
-    if events is not None:
-        events.close()
-    return _monitor_exit_status(
-        shed_total=shed_total,
-        overruns=ingestor.deadlines_overrun if ingestor is not None else 0,
-        storage_degraded=storage_degraded,
-    )
-
-
-def _run_monitor_elastic(
-    args: argparse.Namespace,
-    ids,
-    series,
-    weeks: int,
-    factory,
-    fresh_service,
-    events,
-) -> int:
-    """``monitor --elastic``: the consistent-hash fleet path.
+    """``monitor --shards N`` / ``monitor --elastic``: the shard fleet.
 
     Shards are placed on a hash ring and each keeps its own WAL and
     checkpoint under ``--wal-dir``; the fleet manifest there makes
-    recovery implicit, and ``--grow-at-week N`` performs a live
-    snapshot+WAL shard handoff at the start of week ``N``.
+    recovery implicit (a directory with per-shard state but no manifest
+    recovers too), and ``--grow-at-week N`` performs a live
+    snapshot+WAL shard handoff at the start of week ``N``.  Load
+    control (``--max-queue``/``--shed-policy``/``--cycle-deadline-ms``)
+    buffers the fleet's cycles exactly as it does a single service's.
     """
-    import os
-
     import numpy as np
 
     from repro.errors import ConfigurationError
-    from repro.metering.channel import LossyChannel
+    from repro.loadcontrol import BufferedIngestor
     from repro.observability.metrics import MetricsRegistry
-    from repro.resilience import FaultInjector, FaultyChannel
     from repro.scaleout import ElasticFleet
     from repro.timeseries.seasonal import SLOTS_PER_WEEK
     from repro.transport import FaultyTransport, NetworkFaultSchedule
@@ -1443,6 +1196,16 @@ def _run_monitor_elastic(
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    ingestor = None
+    if loadcontrol is not None:
+        # The buffer's backpressure signal attaches itself to the fleet,
+        # which hands it to every shard service it builds.
+        ingestor = BufferedIngestor(
+            fleet.ingest_cycle,
+            config=loadcontrol,
+            metrics=fleet_metrics,
+            events=events,
+        )
     profiler = None
 
     def _attach_profiler() -> None:
@@ -1463,12 +1226,7 @@ def _run_monitor_elastic(
 
         profiler = StageProfiler()
         _attach_profiler()
-    channel = FaultyChannel(
-        channel=LossyChannel(
-            drop_rate=args.drop_rate, outage_rate=args.outage_rate
-        ),
-        faults=FaultInjector(corrupt_rate=args.corrupt_rate),
-    )
+    channel = _monitor_channel(args)
     start_slot = fleet.cycle
     if start_slot:
         print(
@@ -1503,10 +1261,11 @@ def _run_monitor_elastic(
             cycle_rng = np.random.default_rng((args.seed + 1, t))
             readings = {cid: float(series[cid][t]) for cid in ids}
             delivered = channel.transmit(readings, cycle_rng)
-            result = fleet.ingest_cycle(delivered)
-            if slo is not None and any(
-                r is not None for r in result.values()
-            ):
+            result = _ingest_cycle(ingestor, fleet.ingest_cycle, delivered)
+            shard_reports = [
+                r for r in (result or {}).values() if r is not None
+            ]
+            if slo is not None and shard_reports:
                 # One SLO observation per completed week: enough points
                 # for the burn-rate windows without paying a fleet-wide
                 # registry merge on every polling cycle.
@@ -1516,43 +1275,13 @@ def _run_monitor_elastic(
                 args.crash_after_cycle is not None
                 and ingested >= args.crash_after_cycle
             ):
-                print(
-                    f"simulated crash after {ingested} cycle(s) (cycle {t})",
-                    file=sys.stderr,
+                _simulated_crash(f"{ingested} cycle(s) (cycle {t})")
+            if shard_reports:
+                _print_monitor_week(
+                    *shard_reports,
+                    shed=loadcontrol is not None,
+                    suffix=f" [{len(shard_reports)}/{len(fleet.shards)} shards]",
                 )
-                sys.stdout.flush()
-                sys.stderr.flush()
-                os._exit(3)
-            shard_reports = [r for r in result.values() if r is not None]
-            if not shard_reports:
-                continue
-            week_index = shard_reports[0].week_index
-            alerts = [a for r in shard_reports for a in r.alerts]
-            coverage = [
-                value
-                for r in shard_reports
-                for value in r.coverage.values()
-            ]
-            mean_coverage = (
-                sum(coverage) / len(coverage) if coverage else float("nan")
-            )
-            quarantined = sum(len(r.quarantined) for r in shard_reports)
-            suppressed = sum(len(r.suppressed) for r in shard_reports)
-            print(
-                f"week {week_index:>3}: "
-                f"{len(alerts)} alert(s), "
-                f"coverage {mean_coverage:.1%}, "
-                f"{quarantined} quarantined, "
-                f"{suppressed} suppressed "
-                f"[{len(shard_reports)}/{len(fleet.shards)} shards]"
-            )
-            for r in shard_reports:
-                for alert in r.alerts:
-                    print(
-                        f"    {alert.consumer_id}: {alert.nature.value} "
-                        f"(severity {alert.severity:.2f}, "
-                        f"coverage {alert.coverage:.1%})"
-                    )
         if transport is not None:
             # Heal every severed link and replay the partition buffers
             # so the final verdicts converge before they are merged.
@@ -1658,37 +1387,16 @@ def _run_monitor_elastic(
                 file=sys.stderr,
             )
             if args.transport_ledger_out:
-                import json
-
-                # Plain stdlib IO: the transport ledger must never
-                # route through the seam it documents.
-                try:
-                    with open(
-                        args.transport_ledger_out, "w", encoding="utf-8"
-                    ) as handle:
-                        json.dump(
-                            net_schedule.to_dict(),
-                            handle,
-                            indent=2,
-                            sort_keys=True,
-                        )
-                except OSError as exc:
-                    print(
-                        "warning: could not write transport ledger to "
-                        f"{args.transport_ledger_out!r}: {exc}",
-                        file=sys.stderr,
-                    )
-                else:
-                    print(
-                        "wrote transport ledger to "
-                        f"{args.transport_ledger_out}",
-                        file=sys.stderr,
-                    )
+                _write_ledger(
+                    "transport ledger",
+                    args.transport_ledger_out,
+                    net_schedule.to_dict(),
+                )
     if events is not None:
         events.close()
     return _monitor_exit_status(
         shed_total=shed_total,
-        overruns=0,
+        overruns=ingestor.deadlines_overrun if ingestor is not None else 0,
         storage_degraded=storage_degraded,
     )
 
@@ -1932,12 +1640,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="SPEC",
-        help="inject deterministic transport faults into the elastic "
+        help="inject deterministic transport faults into the shard "
         "fleet's message seam: comma-separated SHARD:OP@N=KIND entries "
         "(e.g. 'shard-0000:ingest@40=partition'); shards glob "
         "(shard-*), ops are ingest/heartbeat/checkpoint/extract/adopt/"
         "lease.acquire/*, kinds are drop/delay/dup/reorder/garble/"
-        "partition/heal; requires --elastic; repeatable",
+        "partition/heal; requires --elastic or --shards > 1; repeatable",
     )
     mon.add_argument(
         "--transport-ledger-out",
@@ -2010,23 +1718,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="run N supervised monitor shards (requires --wal-dir; "
-        "each shard keeps its own WAL and checkpoint and is restarted "
-        "from them if it dies)",
+        help="run the monitor as a fleet of N shards placed on a "
+        "consistent-hash ring (requires --wal-dir; each shard keeps its "
+        "own WAL and checkpoint and is restarted from them if it dies)",
     )
     mon.add_argument(
         "--elastic",
         action="store_true",
-        help="place the shards on a consistent-hash ring and run them "
-        "as an elastic fleet (requires --wal-dir; the fleet manifest "
-        "there makes crash recovery implicit and shards can be added "
-        "live via snapshot+WAL handoff)",
+        help="run the shard fleet even with --shards 1 (requires "
+        "--wal-dir; the fleet manifest there makes crash recovery "
+        "implicit and shards can be added live via snapshot+WAL "
+        "handoff)",
     )
     mon.add_argument(
         "--grow-at-week",
         type=int,
         default=None,
-        help="with --elastic: add one shard live at the start of week N "
+        help="with --elastic or --shards > 1: add one shard live at the "
+        "start of week N "
         "(a quiesce -> snapshot -> commit -> install -> finalize handoff)",
     )
     mon.add_argument(

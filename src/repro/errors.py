@@ -70,15 +70,18 @@ class QueueDrainedError(LoadControlError):
 
 
 class SupervisorError(LoadControlError):
-    """The monitor-worker supervisor could not keep the fleet healthy."""
+    """The shard fleet (:class:`repro.scaleout.ElasticFleet`) could not
+    keep its workers healthy: a closed fleet, an unknown or dead shard,
+    or a rebalance refused across a partition."""
 
 
 class WorkerCrashed(SupervisorError):
-    """A supervised monitor worker died mid-cycle.
+    """A shard monitor worker died mid-cycle.
 
     Raised by workers (or injected by test harnesses) to signal that the
-    worker's in-memory state is gone; the supervisor responds by
-    restarting the shard from its checkpoint and write-ahead log.
+    worker's in-memory state is gone; the fleet responds by restarting
+    the shard from its checkpoint and write-ahead log and re-ingesting
+    the same cycle.
     """
 
 

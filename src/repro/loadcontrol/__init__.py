@@ -1,4 +1,4 @@
-"""Overload control: backpressure, admission, shedding, supervision.
+"""Overload control: backpressure, admission, shedding, deadlines.
 
 This package keeps the monitoring pipeline *bounded* under read storms
 and overload:
@@ -11,10 +11,10 @@ and overload:
   (suspects score first; healthy consumers degrade to coverage-counted
   gaps);
 * :mod:`repro.loadcontrol.deadline` — per-cycle time budgets threaded
-  through every pipeline stage;
-* :mod:`repro.loadcontrol.supervisor` — a self-healing fleet of
-  sharded monitor workers with heartbeat hang detection and
-  restart-from-checkpoint recovery.
+  through every pipeline stage.
+
+The self-healing shard fleet these controls sit in front of is
+:class:`repro.scaleout.ElasticFleet`.
 """
 
 from repro.loadcontrol.admission import (
@@ -31,13 +31,6 @@ from repro.loadcontrol.queue import (
     BufferedIngestor,
 )
 from repro.loadcontrol.shedding import LoadShedder, ShedTier
-from repro.loadcontrol.supervisor import (
-    ShardSpec,
-    Supervisor,
-    WorkerHandle,
-    make_shards,
-    shard_roster,
-)
 
 __all__ = [
     "AIMDRate",
@@ -50,12 +43,7 @@ __all__ = [
     "LoadControlConfig",
     "LoadShedder",
     "STAGE_SECONDS_BUCKETS",
-    "ShardSpec",
     "ShedPolicy",
     "ShedTier",
-    "Supervisor",
     "TokenBucket",
-    "WorkerHandle",
-    "make_shards",
-    "shard_roster",
 ]

@@ -1,7 +1,7 @@
 """Configuration for overload-resilient ingestion.
 
 One frozen dataclass gathers every load-control knob so the CLI, the
-monitoring service, the head-end, and the supervisor all read the same
+monitoring service, the head-end, and the shard fleet all read the same
 contract: how deep the ingestion queue may grow, when backpressure
 engages and releases, how the admission controller paces the head-end,
 which shedding policy applies under sustained pressure, and how much

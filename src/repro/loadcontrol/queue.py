@@ -15,8 +15,8 @@ pieces:
   high watermark, released below the low watermark (hysteresis), and
   consulted by the head-end's AIMD admission controller.
 * :class:`BufferedIngestor` — glues a queue and a signal in front of
-  any ingest callable (a bare service, a durable monitor, or a
-  supervisor), so the storm-facing surface is one ``submit``/``drain``
+  any ingest callable (a bare service, a durable monitor, or a shard
+  fleet), so the storm-facing surface is one ``submit``/``drain``
   pair.
 """
 
@@ -224,7 +224,7 @@ class BufferedIngestor:
         ``ingest(readings, snapshot, deadline=...)`` — typically
         :meth:`repro.core.online.TheftMonitoringService.ingest_cycle`,
         :meth:`repro.durability.recovery.DurableTheftMonitor.ingest_cycle`,
-        or :meth:`repro.loadcontrol.supervisor.Supervisor.ingest_cycle`.
+        or :meth:`repro.scaleout.ElasticFleet.ingest_cycle`.
     config:
         Queue capacity, watermarks, and the per-cycle deadline budget.
     clock:
@@ -247,7 +247,7 @@ class BufferedIngestor:
         self.signal = BackpressureSignal(metrics=metrics, events=events)
         # Attach the signal to the consumer so its weekly scoring can
         # see sustained pressure: services, durable monitors, and
-        # supervisors all expose a ``backpressure`` slot.
+        # shard fleets all expose a ``backpressure`` slot.
         owner = getattr(ingest, "__self__", None)
         if owner is not None and hasattr(owner, "backpressure"):
             owner.backpressure = self.signal

@@ -1,7 +1,8 @@
 """Elastic scale-out: consistent-hash placement, shard handoff, fleet.
 
-The :mod:`repro.scaleout` package grows the single-host worker fleet
-(:mod:`repro.loadcontrol.supervisor`) into an *elastic* one:
+The :mod:`repro.scaleout` package runs the monitor as a self-healing
+fleet of shard workers that can grow and shrink while it runs; every
+sharded ``monitor`` run (``--shards N`` or ``--elastic``) uses it:
 
 * :mod:`~repro.scaleout.ring` — consistent-hash placement of consumers
   onto shards (minimal movement when the shard set changes);

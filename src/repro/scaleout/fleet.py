@@ -1,7 +1,7 @@
 """Elastic shard fleet: consistent-hash placement, live handoff, healing.
 
-:class:`ElasticFleet` is the scale-out successor to the fixed
-:class:`~repro.loadcontrol.supervisor.Supervisor`:
+:class:`ElasticFleet` is the one sharded monitor: ``monitor --shards N``
+and ``monitor --elastic`` both run on it.
 
 * **placement** comes from a consistent-hash ring
   (:class:`~repro.scaleout.ring.HashRing`), so adding or removing a
@@ -24,6 +24,11 @@
   hung or dead shard lags alone (bounded by ``hang_tolerance_cycles``,
   after which it is healed from checkpoint + WAL) while healthy shards
   keep ingesting at the frontier;
+* **self-healing**: a worker that raises
+  :class:`~repro.errors.WorkerCrashed` mid-cycle, was hard-killed
+  (:meth:`ElasticFleet.kill`), or stayed hung past the tolerance is
+  rebuilt from its checkpoint + WAL and re-fed the cycles its pending
+  queue holds, counted in ``fdeta_fleet_restarts_total{reason=...}``;
 * the **merged plane** (:mod:`repro.scaleout.plane`) aggregates
   per-shard verdicts, metrics, revisions, and reading stores into the
   fleet-wide view, bit-identical to an unsharded run;
@@ -83,6 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.eventtime.revision import RevisionLog
     from repro.grid.snapshot import DemandSnapshot
     from repro.loadcontrol.deadline import Deadline
+    from repro.loadcontrol.queue import BackpressureSignal
     from repro.observability.events import EventLogger
     from repro.observability.metrics import MetricsRegistry
 
@@ -136,7 +142,10 @@ class ElasticFleet:
         recovers the persisted topology (including any half-finished
         handoff, which is rolled forward) and every shard's durable
         state — the ``roster``/``n_shards`` arguments are then ignored
-        in favour of the manifest.
+        in favour of the manifest.  A ``base_dir`` that holds per-shard
+        WALs and checkpoints but no manifest (the layout of a fixed
+        ``shard-NNNN`` fleet) is placed by the ring as a fresh fleet
+        would be, and each shard recovers its own durable state.
     service_factory:
         ``service_factory(consumers)`` builds a fresh
         :class:`~repro.core.online.TheftMonitoringService`; it must
@@ -230,6 +239,7 @@ class ElasticFleet:
         self.slo = slo
         self._handoff_span = None
         self._phase_span = None
+        self._backpressure: "BackpressureSignal | None" = None
         self.restarts_total = 0
         self.handoffs_total = 0
         self._closed = False
@@ -426,9 +436,26 @@ class ElasticFleet:
             service = self._fresh_service(worker.consumers)
         return self._wrap(service, worker)
 
+    @property
+    def backpressure(self) -> "BackpressureSignal | None":
+        """Fleet-wide pressure signal, set on every shard's service.
+
+        :meth:`_wrap` attaches it to each worker it builds, so restarts,
+        heals and :meth:`add_shard` re-attach it automatically.
+        """
+        return self._backpressure
+
+    @backpressure.setter
+    def backpressure(self, signal: "BackpressureSignal | None") -> None:
+        self._backpressure = signal
+        for worker in self._workers.values():
+            if worker.monitor is not None:
+                worker.monitor.service.backpressure = signal
+
     def _wrap(
         self, service: "TheftMonitoringService", worker: ShardWorker
     ) -> FencedMonitor:
+        service.backpressure = self._backpressure
         if self.tracer is not None and service.tracer is None:
             # Per-shard tracers get the shard's name as their id
             # namespace, so stitched traces never collide across shards.
@@ -692,7 +719,7 @@ class ElasticFleet:
     ) -> dict[str, "MonitoringReport | None"]:
         """Queue one polling cycle to every shard and drain the queues.
 
-        Unlike the lockstep supervisor, each shard owns a pending queue
+        There is no fleet lockstep: each shard owns a pending queue
         and drains independently: a hung shard simply accumulates
         pending cycles (bounded by ``hang_tolerance_cycles``, after
         which it is healed and catches up), while every healthy shard

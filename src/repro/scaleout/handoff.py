@@ -24,7 +24,7 @@ by :class:`~repro.scaleout.fleet.ElasticFleet`) is:
 Ownership epochs are the fencing token: every live worker is wrapped in
 a :class:`FencedMonitor` pinned to the epoch it was built under, and the
 fleet's fence map holds each shard's *current* epoch.  Handoffs and
-restarts bump the fence, so a stale wrapper — a worker the supervisor
+restarts bump the fence, so a stale wrapper — a worker the fleet
 already replaced, or a pre-handoff owner — raises
 :class:`~repro.errors.StaleWriterError` instead of forking the shard's
 history.

@@ -1,8 +1,8 @@
 """Consistent-hash placement of consumers onto shards.
 
-The fixed round-robin split (``shard_roster``) has a fatal scaling flaw:
-adding one shard reshuffles nearly every consumer to a different shard,
-away from the WAL directory that holds its reading history.  Consistent
+A fixed round-robin split has a fatal scaling flaw: adding one shard
+reshuffles nearly every consumer to a different shard, away from the
+WAL directory that holds its reading history.  Consistent
 hashing with virtual nodes fixes that — each shard owns many points on a
 hash ring and a consumer belongs to the first shard point clockwise from
 its own hash, so adding or removing a shard only moves the consumers
@@ -37,8 +37,9 @@ __all__ = [
 #: (relative imbalance shrinks ~ 1/sqrt(vnodes)) at O(vnodes) memory.
 DEFAULT_VNODES = 64
 
-#: Fixed placement seed.  The deprecated ``shard_roster`` shim pins this
-#: value so historical fixtures keep routing identically forever.
+#: Fixed placement seed.  The pinned 30-consumer routing fixture in
+#: ``tests/scaleout/test_ring.py`` holds it fixed, so existing
+#: ``shard-NNNN`` state directories keep routing to their own WALs.
 DEFAULT_RING_SEED = 2016
 
 

@@ -118,8 +118,9 @@ class ShardEndpoint:
     def _check_write(self, envelope: Envelope) -> None:
         lease = self.lease
         if lease is None:
-            # Lease-less operation (fixed supervisor fleets): the
-            # in-process FencedMonitor epoch check still applies.
+            # Lease-less operation (no coordinator has acquired this
+            # shard yet): the in-process FencedMonitor epoch check
+            # still applies.
             return
         if envelope.holder == lease.holder:
             lease.renew(envelope.seq)

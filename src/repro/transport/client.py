@@ -6,10 +6,11 @@ deterministic request id, send it through the transport, and on a
 retryable failure (:class:`~repro.errors.TransportTimeout`,
 :class:`~repro.errors.CorruptEnvelopeError`) retry under the shared
 :class:`~repro.resilience.retry.RetryPolicy` with exponential backoff
-and deterministic jitter.  Because every retry reuses the same request
-id, a retry whose first attempt actually executed is absorbed by the
-endpoint's reply cache — so the caller sees exactly-once *effects* over
-at-least-once *delivery*.
+and deterministic jitter; exhausted retries always surface as
+:class:`~repro.errors.TransportTimeout`.  Because every retry reuses the
+same request id, a retry whose first attempt actually executed is
+absorbed by the endpoint's reply cache — so the caller sees exactly-once
+*effects* over at-least-once *delivery*.
 
 Not retried here, by design:
 
@@ -132,6 +133,13 @@ class ShardClient:
                 on_retry=on_retry,
                 sleep=self.sleep,
             )
+        except CorruptEnvelopeError as exc:
+            # Retries ran out on a garbled frame.  An earlier attempt
+            # may still have executed (its reply lost), so the outcome
+            # is the same as an exhausted timeout: delivery unknown.
+            raise TransportTimeout(
+                f"{rid}: no intact delivery in {attempts['n']} attempt(s)"
+            ) from exc
         except Exception as exc:
             from repro.errors import UnreachableShardError
 

@@ -257,8 +257,11 @@ class TestCommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[2/2 shards]" in out
-        assert "monitored 4 consumers for 8 weeks across 2 shards" in out
-        assert "supervisor restarts: 0" in out
+        assert (
+            "monitored 4 consumers for 8 weeks across 2 elastic shard(s)"
+            in out
+        )
+        assert "fleet restarts: 0" in out
         # The merged metrics file is valid Prometheus exposition.
         from repro.observability.metrics import parse_prometheus
 
@@ -441,6 +444,56 @@ class TestMonitorElastic:
             "monitored 4 consumers for 8 weeks across 2 elastic shard(s)"
             in captured.out
         )
+
+
+class TestMonitorFleetOverload:
+    """Load control on the shard fleet: ``--shards N`` and ``--elastic``
+    run on one path, so both honour --shed-policy/--cycle-deadline-ms."""
+
+    _base = [
+        "monitor",
+        "--consumers",
+        "4",
+        "--weeks",
+        "4",
+        "--seed",
+        "11",
+        "--min-training-weeks",
+        "2",
+        "--drop-rate",
+        "0.02",
+        "--outage-rate",
+        "0",
+        "--corrupt-rate",
+        "0.01",
+        "--shards",
+        "2",
+        "--shed-policy",
+        "priority",
+        "--cycle-deadline-ms",
+        "0.0001",
+    ]
+
+    def _run(self, tmp_path, capsys, *extra):
+        code = main(
+            self._base + ["--wal-dir", str(tmp_path / "fleet"), *extra]
+        )
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_elastic_fleet_honours_load_control(self, tmp_path, capsys):
+        code, out, err = self._run(tmp_path / "elastic", capsys, "--elastic")
+        assert code == 4
+        assert "completed in degraded mode: 4 consumer-week(s) shed" in err
+        assert "4 shed [2/2 shards]" in out
+        _, sharded_out, _ = self._run(tmp_path / "sharded", capsys)
+        assert out == sharded_out
+
+    def test_sharded_fleet_keeps_its_overload_verdicts(self, tmp_path, capsys):
+        code, out, err = self._run(tmp_path, capsys)
+        assert code == 4
+        assert "4 consumer-week(s) shed, 1344 deadline overrun(s)" in err
+        assert "total alerts: 0" in out
 
 
 class TestMonitorEventTime:

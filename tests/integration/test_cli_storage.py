@@ -241,8 +241,9 @@ class TestExportsDegradeUnderENOSPC:
         captured = capsys.readouterr()
         assert "warning: could not write health report" in captured.err
         assert not health.exists()
-        assert "monitored 4 consumers for 5 weeks across 2 shards" in (
-            captured.out
+        assert (
+            "monitored 4 consumers for 5 weeks across 2 elastic shard(s)"
+            in captured.out
         )
 
     def test_slo_export_enospc_warns_but_completes(self, tmp_path, capsys):

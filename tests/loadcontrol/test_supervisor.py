@@ -1,11 +1,12 @@
-"""Supervised shard fleet: heartbeats, kill/hang/crash healing.
+"""Shard-fleet supervision: placement, heartbeats, kill/hang/crash healing.
 
-The load-bearing claim: a shard that is hard-killed (or hangs, or
-crashes) mid-week is rebuilt from checkpoint + WAL replay and produces
-**identical** weekly reports to a fleet that was never disturbed.
+These are the supervision checks every sharded ``monitor`` run relies
+on, run against :class:`repro.scaleout.ElasticFleet` (the one shard
+fleet).  The load-bearing claim: a shard that is hard-killed (or hangs,
+or crashes) mid-week is rebuilt from checkpoint + WAL replay and
+produces **identical** weekly reports to a fleet that was never
+disturbed.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -14,32 +15,38 @@ from repro.core.kld import KLDDetector
 from repro.core.online import TheftMonitoringService
 from repro.errors import ConfigurationError, SupervisorError, WorkerCrashed
 from repro.loadcontrol.queue import BackpressureSignal
-from repro.loadcontrol.supervisor import (
-    ShardSpec,
-    Supervisor,
-    make_shards,
-    shard_roster,
-)
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.config import ResilienceConfig
+from repro.scaleout import ElasticFleet
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 CONSUMERS = tuple(f"c{i}" for i in range(1, 7))
 WEEKS = 3
 THEFT_START = 2 * SLOTS_PER_WEEK  # c1 starts under-reporting in week 2
+SHARD_0, SHARD_1 = "shard-0000", "shard-0001"
 
 
 def _factory():
     return KLDDetector(significance=0.05)
 
 
-def _service_factory(spec):
+def _service_factory(consumers):
     return TheftMonitoringService(
         detector_factory=_factory,
         min_training_weeks=2,
         resilience=ResilienceConfig(),
-        population=spec.consumers,
+        population=consumers,
     )
+
+
+def _fleet(base_dir, roster=CONSUMERS, service_factory=_service_factory, **kwargs):
+    kwargs.setdefault("n_shards", 2)
+    return ElasticFleet(roster, base_dir, service_factory, _factory, **kwargs)
+
+
+def _placement(base_dir, roster, n_shards):
+    with _fleet(base_dir, roster=roster, n_shards=n_shards) as fleet:
+        return tuple(worker.consumers for worker in fleet.workers())
 
 
 def _readings(t):
@@ -50,10 +57,10 @@ def _readings(t):
     return out
 
 
-def _signatures(supervisor):
+def _signatures(fleet):
     """Byte-comparable view of every shard's weekly reports."""
     return {
-        shard_id: [
+        name: [
             (
                 report.week_index,
                 tuple(
@@ -68,34 +75,31 @@ def _signatures(supervisor):
             )
             for report in service.reports
         ]
-        for shard_id, service in supervisor.services().items()
+        for name, service in fleet.services().items()
     }
 
 
-def _run_fleet(base_dir, chaos=None, metrics=None, worker_factory=None):
-    """Run a 2-shard fleet for WEEKS weeks; ``chaos(supervisor, t)`` is
+def _run_fleet(base_dir, chaos=None, metrics=None):
+    """Run a 2-shard fleet for WEEKS weeks; ``chaos(fleet, t)`` is
     invoked before every cycle to inject faults."""
-    shards = make_shards(CONSUMERS, 2, base_dir)
-    with Supervisor(
-        shards,
-        service_factory=_service_factory,
-        detector_factory=_factory,
-        worker_factory=worker_factory,
-        metrics=metrics,
-    ) as supervisor:
+    with _fleet(base_dir, metrics=metrics) as fleet:
         for t in range(WEEKS * SLOTS_PER_WEEK):
             if chaos is not None:
-                chaos(supervisor, t)
-            supervisor.ingest_cycle(_readings(t))
-        return _signatures(supervisor), supervisor.restarts_total
+                chaos(fleet, t)
+            fleet.ingest_cycle(_readings(t))
+        return _signatures(fleet), fleet.restarts_total
+
+
+def _restarts(metrics, reason):
+    return metrics.counter(
+        "fdeta_fleet_restarts_total", labels=("reason",)
+    ).value(reason=reason)
 
 
 class TestShardRoster:
-    def test_split_is_order_insensitive(self):
-        with pytest.warns(DeprecationWarning):
-            split = shard_roster(("b", "d", "a", "c"), 2)
-        with pytest.warns(DeprecationWarning):
-            assert split == shard_roster(("a", "b", "c", "d"), 2)
+    def test_split_is_order_insensitive(self, tmp_path):
+        split = _placement(tmp_path / "a", ("b", "d", "a", "c"), 2)
+        assert split == _placement(tmp_path / "b", ("a", "b", "c", "d"), 2)
         assert sorted(cid for shard in split for cid in shard) == [
             "a",
             "b",
@@ -103,160 +107,83 @@ class TestShardRoster:
             "d",
         ]
 
-    def test_deprecated_shim_matches_ring(self):
-        """shard_roster delegates to the hash ring with the fixed seed."""
-        from repro.scaleout import HashRing, balanced_assignments
+    def test_single_shard_keeps_everyone(self, tmp_path):
+        assert _placement(tmp_path, CONSUMERS, 1) == (CONSUMERS,)
 
-        names = [f"shard-{i:04d}" for i in range(2)]
-        assignment = balanced_assignments(HashRing(names), sorted(CONSUMERS))
-        with pytest.warns(DeprecationWarning):
-            split = shard_roster(CONSUMERS, 2)
-        assert split == tuple(assignment[name] for name in names)
-
-    def test_pinned_30_consumer_fixture_routing(self):
-        """Historical fixtures must keep routing identically forever."""
-        thirty = tuple(f"m{i:03d}" for i in range(30))
-        with pytest.warns(DeprecationWarning):
-            split = shard_roster(thirty, 3)
-        assert split == (
-            (
-                "m006", "m007", "m009", "m012", "m014", "m015",
-                "m017", "m019", "m024", "m027", "m029",
-            ),
-            (
-                "m001", "m002", "m004", "m010", "m011", "m013",
-                "m016", "m018", "m020", "m022", "m023", "m026",
-            ),
-            ("m000", "m003", "m005", "m008", "m021", "m025", "m028"),
-        )
-
-    def test_single_shard_keeps_everyone(self):
-        with pytest.warns(DeprecationWarning):
-            assert shard_roster(CONSUMERS, 1) == (CONSUMERS,)
-
-    def test_invalid_shard_counts(self):
-        with pytest.raises(ConfigurationError), pytest.warns(
-            DeprecationWarning
-        ):
-            shard_roster(CONSUMERS, 0)
-        with pytest.raises(ConfigurationError), pytest.warns(
-            DeprecationWarning
-        ):
-            shard_roster(("a", "b"), 3)
+    def test_invalid_shard_counts(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            _fleet(tmp_path / "a", n_shards=0)
+        with pytest.raises(ConfigurationError):
+            _fleet(tmp_path / "b", roster=("a", "b"), n_shards=3)
 
     def test_make_shards_layout(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        assert [s.shard_id for s in shards] == [0, 1]
-        assert shards[0].consumers == ("c1", "c3", "c4", "c6")
-        assert shards[1].consumers == ("c2", "c5")
-        assert shards[0].wal_dir.endswith("shard-0000")
-        assert shards[1].checkpoint_path.endswith("shard-0001.ckpt")
-
-    def test_make_shards_does_not_warn(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_shards(CONSUMERS, 2, tmp_path)
-
-    def test_growth_moves_few_consumers(self):
-        """The reason for the ring: growth must not reshuffle everyone."""
-        from repro.scaleout import (
-            HashRing,
-            balanced_assignments,
-            moved_consumers,
-        )
-
-        roster = tuple(f"m{i:03d}" for i in range(120))
-        ring = HashRing([f"shard-{i:04d}" for i in range(3)])
-        before = balanced_assignments(ring, roster)
-        ring.add_shard("shard-0003")
-        after = balanced_assignments(ring, roster)
-        moved = moved_consumers(before, after)
-        # Minimal-movement bound: about n/shards, never almost all.
-        assert 0 < len(moved) <= int(len(roster) / 4 * 1.5)
+        """The ``shard-NNNN/`` + ``shard-NNNN.ckpt`` layout and placement
+        that fixed-shard state directories were written with."""
+        with _fleet(tmp_path) as fleet:
+            first, second = fleet.workers()
+            assert fleet.shards == (SHARD_0, SHARD_1)
+            assert first.consumers == ("c1", "c3", "c4", "c6")
+            assert second.consumers == ("c2", "c5")
+            assert first.wal_dir == str(tmp_path / SHARD_0)
+            assert second.checkpoint_path == str(tmp_path / f"{SHARD_1}.ckpt")
 
 
 class TestSupervisorValidation:
-    def test_needs_shards(self):
+    def test_needs_shards(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            Supervisor([], _service_factory, _factory)
-
-    def test_replay_buffer_must_exceed_hang_tolerance(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with pytest.raises(ConfigurationError):
-            Supervisor(
-                shards,
-                _service_factory,
-                _factory,
-                hang_tolerance_cycles=4,
-                replay_buffer_cycles=4,
-            )
-
-    def test_rejects_overlapping_shards(self, tmp_path):
-        shards = [
-            ShardSpec(0, ("c1", "c2"), str(tmp_path / "a"), str(tmp_path / "a.ckpt")),
-            ShardSpec(1, ("c2", "c3"), str(tmp_path / "b"), str(tmp_path / "b.ckpt")),
-        ]
-        with pytest.raises(ConfigurationError):
-            Supervisor(shards, _service_factory, _factory)
+            _fleet(tmp_path, roster=())
 
     def test_unknown_shard_queries_raise(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(shards, _service_factory, _factory) as supervisor:
+        with _fleet(tmp_path) as fleet:
             with pytest.raises(SupervisorError):
-                supervisor.kill(99)
+                fleet.kill("shard-0099")
             with pytest.raises(SupervisorError):
-                supervisor.service(99)
+                fleet.service("shard-0099")
 
 
 class TestLifecycleHardening:
     def test_close_is_idempotent(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        supervisor = Supervisor(shards, _service_factory, _factory)
-        supervisor.ingest_cycle(_readings(0))
-        supervisor.close()
-        supervisor.close()  # second close must be a no-op, not a crash
-        assert all(h.worker is None for h in supervisor.handles())
+        fleet = _fleet(tmp_path)
+        fleet.ingest_cycle(_readings(0))
+        fleet.close()
+        fleet.close()  # second close must be a no-op, not a crash
+        assert all(w.monitor is None for w in fleet.workers())
 
     def test_exit_after_close_does_not_raise(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(shards, _service_factory, _factory) as supervisor:
-            supervisor.close()
+        with _fleet(tmp_path) as fleet:
+            fleet.close()
 
-    def test_partial_build_failure_closes_built_workers(self, tmp_path):
+    def test_partial_build_failure_closes_built_workers(
+        self, tmp_path, monkeypatch
+    ):
         """A factory blowing up on shard 1 must not leak shard 0's WAL."""
+        import repro.scaleout.fleet as fleet_module
+
         built = []
 
-        def wrapping_factory(service, wal, spec):
-            built.append(wal)
-            from repro.durability.recovery import DurableTheftMonitor
+        class RecordingWAL(fleet_module.WriteAheadLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-            return DurableTheftMonitor(
-                service, wal, checkpoint_path=spec.checkpoint_path
-            )
+        monkeypatch.setattr(fleet_module, "WriteAheadLog", RecordingWAL)
 
-        def exploding_factory(spec):
-            if spec.shard_id == 1:
+        def exploding_factory(consumers):
+            if built:
                 raise RuntimeError("boom while building shard 1")
-            return _service_factory(spec)
+            return _service_factory(consumers)
 
-        shards = make_shards(CONSUMERS, 2, tmp_path)
         with pytest.raises(RuntimeError, match="boom"):
-            Supervisor(
-                shards,
-                exploding_factory,
-                _factory,
-                worker_factory=wrapping_factory,
-            )
+            _fleet(tmp_path, service_factory=exploding_factory)
         assert len(built) == 1  # shard 0 was built before the failure
         assert all(wal._closed for wal in built)
         # The directory is fully released: a fresh fleet starts cleanly.
-        with Supervisor(shards, _service_factory, _factory) as retry:
+        with _fleet(tmp_path) as retry:
             retry.ingest_cycle(_readings(0))
 
     def test_close_survives_worker_close_failure(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        supervisor = Supervisor(shards, _service_factory, _factory)
-        handle = supervisor.handles()[0]
+        fleet = _fleet(tmp_path)
+        worker = fleet.workers()[0]
 
         class ExplodingClose:
             def __init__(self, inner):
@@ -268,29 +195,31 @@ class TestLifecycleHardening:
             def close(self):
                 raise OSError("disk pulled mid-close")
 
-        handle.worker = ExplodingClose(handle.worker)
-        supervisor.close()  # must swallow the failure, close the rest
-        assert all(h.worker is None for h in supervisor.handles())
+        exploding = ExplodingClose(worker.monitor)
+        worker.monitor = exploding
+        fleet.close()  # must swallow the failure, close the rest
+        assert all(w.monitor is None for w in fleet.workers())
+        exploding.inner.close()
 
 
 class TestLockstepDispatch:
     def test_week_boundary_reports_all_shards(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(shards, _service_factory, _factory) as supervisor:
+        with _fleet(tmp_path) as fleet:
             for t in range(SLOTS_PER_WEEK):
-                reports = supervisor.ingest_cycle(_readings(t))
-            assert supervisor.cycle == SLOTS_PER_WEEK
-            assert set(reports) == {0, 1}
-            assert all(r is not None and r.week_index == 0 for r in reports.values())
-            for handle in supervisor.handles():
-                assert handle.beats == SLOTS_PER_WEEK
-                assert handle.last_cycle == SLOTS_PER_WEEK - 1
+                reports = fleet.ingest_cycle(_readings(t))
+            assert fleet.cycle == SLOTS_PER_WEEK
+            assert set(reports) == {SHARD_0, SHARD_1}
+            assert all(
+                r is not None and r.week_index == 0 for r in reports.values()
+            )
+            for worker in fleet.workers():
+                assert worker.beats == SLOTS_PER_WEEK
+                assert worker.last_cycle == SLOTS_PER_WEEK - 1
 
     def test_off_boundary_cycles_return_none(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(shards, _service_factory, _factory) as supervisor:
-            reports = supervisor.ingest_cycle(_readings(0))
-            assert reports == {0: None, 1: None}
+        with _fleet(tmp_path) as fleet:
+            reports = fleet.ingest_cycle(_readings(0))
+            assert reports == {SHARD_0: None, SHARD_1: None}
 
 
 class TestKillHealing:
@@ -298,99 +227,107 @@ class TestKillHealing:
         baseline, baseline_restarts = _run_fleet(tmp_path / "baseline")
         assert baseline_restarts == 0
         # The thief's shard produces a scored week with c1 on top.
-        week2 = baseline[0][2]
+        week2 = baseline[SHARD_0][2]
         scores = dict((cid, score) for cid, _, score, _, _ in week2[1])
         assert scores and max(scores, key=scores.get) == "c1"
 
         metrics = MetricsRegistry()
 
-        def chaos(supervisor, t):
+        def chaos(fleet, t):
             if t == THEFT_START + 50:  # mid-week-2, after theft starts
-                supervisor.kill(0)
+                fleet.kill(SHARD_0)
 
         killed, restarts = _run_fleet(
             tmp_path / "killed", chaos=chaos, metrics=metrics
         )
         assert restarts == 1
-        assert metrics.counter(
-            "fdeta_supervisor_restarts_total", labels=("reason",)
-        ).value(reason="killed") == 1
+        assert _restarts(metrics, "killed") == 1
         assert killed == baseline
 
     def test_kill_marks_worker_dead_until_next_dispatch(self, tmp_path):
         metrics = MetricsRegistry()
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(
-            shards, _service_factory, _factory, metrics=metrics
-        ) as supervisor:
+        with _fleet(tmp_path, metrics=metrics) as fleet:
             for t in range(10):
-                supervisor.ingest_cycle(_readings(t))
-            supervisor.kill(0)
-            gauge = metrics.gauge(
-                "fdeta_supervisor_workers", labels=("state",)
-            )
+                fleet.ingest_cycle(_readings(t))
+            fleet.kill(SHARD_0)
+            gauge = metrics.gauge("fdeta_fleet_workers", labels=("state",))
             assert gauge.value(state="dead") == 1
             with pytest.raises(SupervisorError):
-                supervisor.service(0)
-            supervisor.ingest_cycle(_readings(10))
+                fleet.service(SHARD_0)
+            fleet.ingest_cycle(_readings(10))
             assert gauge.value(state="dead") == 0
-            # Recovery + replay-buffer redelivery caught the shard up.
-            assert supervisor.service(0).cycles_ingested == supervisor.cycle
+            # Recovery from checkpoint + WAL caught the shard up.
+            assert fleet.service(SHARD_0).cycles_ingested == fleet.cycle
 
     def test_backpressure_reattached_after_restart(self, tmp_path):
-        shards = make_shards(CONSUMERS, 2, tmp_path)
         signal = BackpressureSignal()
-        with Supervisor(shards, _service_factory, _factory) as supervisor:
-            supervisor.backpressure = signal
+        with _fleet(tmp_path, hang_tolerance_cycles=2) as fleet:
+            fleet.backpressure = signal
             assert all(
                 service.backpressure is signal
-                for service in supervisor.services().values()
+                for service in fleet.services().values()
             )
-            supervisor.ingest_cycle(_readings(0))
-            supervisor.kill(0)
-            supervisor.ingest_cycle(_readings(1))
-            assert supervisor.service(0).backpressure is signal
+            fleet.ingest_cycle(_readings(0))
+            fleet.kill(SHARD_0)
+            fleet.ingest_cycle(_readings(1))
+            assert fleet.restarts_total == 1
+            assert fleet.service(SHARD_0).backpressure is signal
+            fleet.hang(SHARD_1)
+            for t in range(2, 5):
+                fleet.ingest_cycle(_readings(t))
+            assert fleet.restarts_total == 2  # healed past the tolerance
+            assert fleet.service(SHARD_1).backpressure is signal
+
+    def test_backpressure_attached_to_added_shard(self, tmp_path):
+        signal = BackpressureSignal()
+        with _fleet(tmp_path) as fleet:
+            fleet.backpressure = signal
+            fleet.ingest_cycle(_readings(0))
+            added = fleet.add_shard()
+            assert fleet.service(added).backpressure is signal
+            assert all(
+                service.backpressure is signal
+                for service in fleet.services().values()
+            )
+            fleet.backpressure = None
+            assert all(
+                service.backpressure is None
+                for service in fleet.services().values()
+            )
 
 
 class TestHangHealing:
     def test_hung_shard_restarts_after_tolerance(self, tmp_path):
         metrics = MetricsRegistry()
-        shards = make_shards(CONSUMERS, 2, tmp_path)
-        with Supervisor(
-            shards,
-            _service_factory,
-            _factory,
-            hang_tolerance_cycles=2,
-            metrics=metrics,
-        ) as supervisor:
+        with _fleet(
+            tmp_path, hang_tolerance_cycles=2, metrics=metrics
+        ) as fleet:
             for t in range(10):
-                supervisor.ingest_cycle(_readings(t))
-            supervisor.hang(0)
+                fleet.ingest_cycle(_readings(t))
+            fleet.hang(SHARD_0)
             # Within tolerance: no ingestion, no beats, no restart.
             for t in (10, 11):
-                reports = supervisor.ingest_cycle(_readings(t))
-                assert reports[0] is None
-                assert reports[1] is None  # off week boundary
-            assert supervisor.handles()[0].beats == 10
-            assert supervisor.restarts_total == 0
+                reports = fleet.ingest_cycle(_readings(t))
+                assert reports[SHARD_0] is None
+                assert reports[SHARD_1] is None  # off week boundary
+            assert fleet.workers()[0].beats == 10
+            assert fleet.restarts_total == 0
             assert metrics.gauge(
-                "fdeta_supervisor_workers", labels=("state",)
+                "fdeta_fleet_workers", labels=("state",)
             ).value(state="hung") == 1
-            # Past tolerance: restart, redeliver the missed cycles.
-            supervisor.ingest_cycle(_readings(12))
-            assert supervisor.restarts_total == 1
-            assert metrics.counter(
-                "fdeta_supervisor_restarts_total", labels=("reason",)
-            ).value(reason="hang") == 1
-            assert supervisor.service(0).cycles_ingested == supervisor.cycle
-            assert supervisor.service(1).cycles_ingested == supervisor.cycle
+            # Past tolerance: restart, drain the missed cycles.
+            fleet.ingest_cycle(_readings(12))
+            assert fleet.restarts_total == 1
+            assert _restarts(metrics, "hang") == 1
+            assert fleet.service(SHARD_0).cycles_ingested == fleet.cycle
+            assert fleet.service(SHARD_1).cycles_ingested == fleet.cycle
 
     def test_hang_heals_to_bit_identical_reports(self, tmp_path):
         baseline, _ = _run_fleet(tmp_path / "baseline")
 
-        def chaos(supervisor, t):
+        def chaos(fleet, t):
             if t == THEFT_START + 100:
-                supervisor.hang(1)
+                fleet.hang(SHARD_1)
 
         healed, restarts = _run_fleet(tmp_path / "hung", chaos=chaos)
         assert restarts == 1
@@ -399,19 +336,16 @@ class TestHangHealing:
 
 class TestCrashHealing:
     def test_crash_is_retried_same_cycle(self, tmp_path):
-        from repro.durability.recovery import DurableTheftMonitor
-
+        """A worker raising WorkerCrashed mid-cycle is restarted from
+        checkpoint + WAL and the same cycle is re-ingested."""
         crash_at = {THEFT_START + 7}
 
-        def worker_factory(service, wal, spec):
-            monitor = DurableTheftMonitor(
-                service,
-                wal,
-                checkpoint_path=spec.checkpoint_path,
-                sync_every_cycles=1,
-            )
-            if spec.shard_id != 0:
-                return monitor
+        def chaos(fleet, t):
+            if t != 0:
+                return
+            # Patch shard 0's live monitor: its successor after the
+            # restart is a fresh object, so the crash fires once.
+            monitor = fleet.workers()[0].monitor
             real = monitor.ingest_cycle
 
             def flaky(reported, snapshot=None, cycle_index=None, **kwargs):
@@ -423,17 +357,13 @@ class TestCrashHealing:
                 )
 
             monitor.ingest_cycle = flaky
-            return monitor
 
         baseline, _ = _run_fleet(tmp_path / "baseline")
         metrics = MetricsRegistry()
         crashed, restarts = _run_fleet(
-            tmp_path / "crashed",
-            metrics=metrics,
-            worker_factory=worker_factory,
+            tmp_path / "crashed", chaos=chaos, metrics=metrics
         )
+        assert not crash_at  # the injected crash fired
         assert restarts == 1
-        assert metrics.counter(
-            "fdeta_supervisor_restarts_total", labels=("reason",)
-        ).value(reason="crash") == 1
+        assert _restarts(metrics, "crash") == 1
         assert crashed == baseline

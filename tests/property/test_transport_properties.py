@@ -168,7 +168,7 @@ class TestLeaseLevel:
                 try:
                     endpoint.deliver(envelope)
                     # Accepted ⇒ the writer held the lease (or no lease
-                    # exists at all — the lease-less supervisor mode).
+                    # exists at all — an endpoint nobody has leased).
                     assert holder_now in (coordinator, None)
                 except StaleLeaseError:
                     assert holder_now is not None

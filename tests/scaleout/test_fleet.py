@@ -232,3 +232,53 @@ class TestColdStart:
             ]
         finally:
             reopened.close()
+
+    def test_opens_a_manifestless_shard_directory(self, tmp_path):
+        """Upgrade path: a directory holding per-shard WALs and
+        checkpoints but no ``fleet.json`` (the layout fixed-shard runs
+        wrote) recovers every shard and finishes bit-identical."""
+        from repro.durability.recovery import DurableTheftMonitor
+        from repro.durability.wal import WriteAheadLog
+        from repro.scaleout import HashRing, balanced_assignments
+
+        with _fleet(tmp_path / "baseline") as baseline:
+            for t in range(WEEKS * SLOTS_PER_WEEK):
+                baseline.ingest_cycle(readings(t))
+            expected = baseline.merged_signature()
+
+        # Write the old layout by hand: one durable monitor per
+        # shard-NNNN directory, fsync per cycle, no fleet manifest.
+        base = tmp_path / "old"
+        names = ["shard-0000", "shard-0001"]
+        placement = balanced_assignments(HashRing(names), sorted(CONSUMERS))
+        monitors = {
+            name: DurableTheftMonitor(
+                service_factory(placement[name]),
+                WriteAheadLog(str(base / name)),
+                checkpoint_path=str(base / f"{name}.ckpt"),
+                sync_every_cycles=1,
+            )
+            for name in names
+        }
+        crash = SLOTS_PER_WEEK + 40
+        for t in range(crash):
+            for name, monitor in monitors.items():
+                if name == "shard-0001" and t == crash - 1:
+                    continue  # crashed mid-dispatch: one shard is behind
+                monitor.ingest_cycle(
+                    {cid: readings(t)[cid] for cid in placement[name]},
+                    cycle_index=t,
+                )
+        for monitor in monitors.values():
+            monitor.close()  # the WAL only: no final checkpoint
+        assert not (base / ElasticFleet.MANIFEST).exists()
+
+        with _fleet(base) as fleet:
+            assert (base / ElasticFleet.MANIFEST).exists()
+            assert {w.name: w.consumers for w in fleet.workers()} == placement
+            assert fleet.cycle == crash - 1  # resumes at the slowest shard
+            assert fleet.service("shard-0000").cycles_ingested == crash
+            for t in range(fleet.cycle, WEEKS * SLOTS_PER_WEEK):
+                fleet.ingest_cycle(readings(t))
+            assert fleet.merged_signature() == expected
+            assert [r.week_index for r in fleet.merged_reports()] == [0, 1, 2]

@@ -181,3 +181,39 @@ class TestEdgeCases:
     def test_empty_roster_on_empty_ring_still_refused(self):
         with pytest.raises(ConfigurationError, match="no shards"):
             balanced_assignments(HashRing(()), ())
+
+
+class TestPinnedPlacement:
+    """Placement pins for ``shard-NNNN`` state directories.
+
+    A fleet reopened over a directory written by an earlier run must
+    route every consumer to the shard whose WAL holds its history, so
+    the default-seed placement of these fixtures may never change.
+    """
+
+    def test_pinned_30_consumer_fixture_routing(self):
+        thirty = tuple(f"m{i:03d}" for i in range(30))
+        names = [f"shard-{i:04d}" for i in range(3)]
+        assignment = balanced_assignments(HashRing(names), sorted(thirty))
+        assert tuple(assignment[name] for name in names) == (
+            (
+                "m006", "m007", "m009", "m012", "m014", "m015",
+                "m017", "m019", "m024", "m027", "m029",
+            ),
+            (
+                "m001", "m002", "m004", "m010", "m011", "m013",
+                "m016", "m018", "m020", "m022", "m023", "m026",
+            ),
+            ("m000", "m003", "m005", "m008", "m021", "m025", "m028"),
+        )
+
+    def test_growth_moves_few_consumers(self):
+        """The reason for the ring: growth must not reshuffle everyone."""
+        roster = tuple(f"m{i:03d}" for i in range(120))
+        ring = HashRing([f"shard-{i:04d}" for i in range(3)])
+        before = balanced_assignments(ring, roster)
+        ring.add_shard("shard-0003")
+        after = balanced_assignments(ring, roster)
+        moved = moved_consumers(before, after)
+        # Minimal-movement bound: about n/shards, never almost all.
+        assert 0 < len(moved) <= int(len(roster) / 4 * 1.5)

@@ -135,6 +135,17 @@ class TestShardClient:
             client.call("ingest", "a", seq=0)
         assert calls == []
 
+    def test_retries_exhausted_on_garble_raise_timeout(self):
+        """Callers handle one exhausted-retry type: a garbled last
+        attempt surfaces as a timeout, not a CorruptEnvelopeError."""
+        client, calls = _fixture(
+            "s1:ingest@1=drop,s1:ingest@2=drop,s1:ingest@3=garble",
+            policy=RetryPolicy(max_attempts=3),
+        )
+        with pytest.raises(TransportTimeout, match="3 attempt"):
+            client.call("ingest", "a", seq=0)
+        assert calls == []
+
     def test_unreachable_not_retried(self):
         metrics = MetricsRegistry()
         client, calls = _fixture("s1:*@1=partition", metrics=metrics)
