@@ -728,7 +728,11 @@ def _monitor_command(args: argparse.Namespace) -> int:
         profiler = StageProfiler()
         service.profiler = profiler
     if args.wal_dir:
-        wal = WriteAheadLog(args.wal_dir, metrics=service.metrics)
+        try:
+            wal = WriteAheadLog(args.wal_dir, metrics=service.metrics)
+        except DurabilityError as exc:
+            print(f"recovery failed: {exc}", file=sys.stderr)
+            return 2
         monitor = DurableTheftMonitor(
             service,
             wal,
@@ -980,7 +984,7 @@ def _run_monitor_eventtime(
     import numpy as np
 
     from repro.durability.wal import WriteAheadLog
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, DurabilityError
     from repro.eventtime import (
         EventTimeConfig,
         EventTimeIngestor,
@@ -1024,8 +1028,13 @@ def _run_monitor_eventtime(
         profiler = StageProfiler()
     start_batch = 0
     if args.recover:
-        result = replay_eventtime(args.wal_dir, service_factory, resume=True)
-        ingestor, replay = result
+        try:
+            ingestor, replay = replay_eventtime(
+                args.wal_dir, service_factory, resume=True
+            )
+        except DurabilityError as exc:
+            print(f"recovery failed: {exc}", file=sys.stderr)
+            return 2
         service = ingestor.service
         start_batch = ingestor.deliveries
         if profiler is not None:
@@ -1040,11 +1049,15 @@ def _run_monitor_eventtime(
         )
     else:
         service = service_factory()
-        wal = (
-            WriteAheadLog(args.wal_dir, metrics=service.metrics)
-            if args.wal_dir
-            else None
-        )
+        try:
+            wal = (
+                WriteAheadLog(args.wal_dir, metrics=service.metrics)
+                if args.wal_dir
+                else None
+            )
+        except DurabilityError as exc:
+            print(f"recovery failed: {exc}", file=sys.stderr)
+            return 2
         ingestor = EventTimeIngestor(service, wal=wal, profiler=profiler)
 
     delivered_batches = 0
@@ -1149,7 +1162,7 @@ def _run_monitor_fleet(
     """
     import numpy as np
 
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, DurabilityError
     from repro.loadcontrol import BufferedIngestor
     from repro.observability.metrics import MetricsRegistry
     from repro.scaleout import ElasticFleet
@@ -1195,6 +1208,10 @@ def _run_monitor_fleet(
         )
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except DurabilityError as exc:
+        # Opening a fleet recovers every shard from its WAL.
+        print(f"recovery failed: {exc}", file=sys.stderr)
         return 2
     ingestor = None
     if loadcontrol is not None:

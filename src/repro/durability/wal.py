@@ -14,25 +14,50 @@ A WAL is a directory of numbered segment files ``wal-00000001.seg``.
 Each segment starts with an 18-byte header::
 
     magic   8 bytes  b"FDWALSEG"
-    version u16      format version (currently 1)
+    version u16      format version (currently 2)
     base    u64      cycle index the log expected next when the
                      segment was opened (diagnostic aid)
 
-followed by length-prefixed, CRC-checked records::
+followed by length-prefixed, CRC-checked frames::
 
-    length  u32      payload byte count
-    crc32   u32      CRC-32 of the payload
-    payload          compact JSON, e.g. {"k":"cycle","t":412,"r":{...}}
+    length  u32      body byte count
+    crc32   u32      CRC-32 of the body
+    body             fixed frame header, then the frame's columns
 
-Four record kinds exist: ``cycle`` (one polling cycle of readings, the
-raw pre-firewall mapping), ``mark`` (a checkpoint boundary, written so
-compaction evidence survives in the log itself), ``delivery`` (one
-event-time delivery batch of ``[consumer, slot, value]`` stamped
-readings — ``t`` is the processing-time delivery index, each element's
-slot is its event time, so replay reproduces the exact watermark
-decisions of the live run), and ``finish`` (the event-time end-of-run
-flush, logged so replay drains the reorder buffer at the same point the
-live run did).
+Every body opens with the same 21-byte little-endian header::
+
+    kind    u8       1 cycle, 2 mark, 3 delivery, 4 finish
+    cycle   i64      cycle index (delivery index for delivery/finish)
+    count   u32      number of entries
+    blob    u32      byte count of the consumer-id blob
+    stamps  u32      number of stamp entries (cycle frames only)
+
+and its columns follow, all little-endian:
+
+* ``cycle`` — one polling cycle of readings, the raw pre-firewall
+  mapping: ``count`` u32 consumer-id lengths (in characters), the ids
+  concatenated as one UTF-8 blob, ``count`` float64 values in the
+  mapping's own key order, then the stamp section: ``stamps`` u32
+  entry indices, ``stamps`` i64 slots and ``stamps`` u8 flags (bit 0:
+  the slot is set, bit 1: ``fold``) for the :class:`MeterReading`
+  values that carry a slot or fold.  Unparseable values are logged as
+  NaN; the firewall quarantines them as ``non_finite`` on both the live
+  and the replayed path.
+* ``delivery`` — one event-time delivery batch of stamped readings: the
+  id lengths and blob as above, ``count`` i64 slots and ``count``
+  float64 values.  The header's index is the processing-time delivery
+  counter and each slot is its reading's event time, so replay
+  reproduces the exact watermark decisions of the live run.
+* ``mark`` (a checkpoint boundary, written so compaction evidence
+  survives in the log itself) and ``finish`` (the event-time
+  end-of-run flush, logged so replay drains the reorder buffer at the
+  same point the live run did) are header-only.
+
+The header fixes the body length, so a frame whose length disagrees
+with its header is invalid like one whose CRC fails.  Every frame
+stands alone: it carries its own ids and never refers to an earlier
+frame, so losing a torn or rolled-back append cannot orphan a later
+one.
 
 Crash safety
 ------------
@@ -42,7 +67,7 @@ records written before the last ``sync`` survive any crash.  A crash
 mid-append leaves a *torn tail*: a partial header or a record whose CRC
 fails.  Replay (:func:`replay_wal`) accepts a torn tail **only at the
 end of the final segment** — the one place a crash can produce one —
-and surfaces it as ``torn_tail=True``; an invalid record anywhere else
+and surfaces it as ``torn_tail=True``; an invalid frame anywhere else
 is disk corruption and raises
 :class:`~repro.errors.WALCorruptionError`.  Re-opening a directory for
 append truncates the torn tail first (the partial record was never
@@ -51,16 +76,26 @@ segment.
 
 Segments whose every record is covered by a newer service checkpoint
 are deleted by :meth:`WriteAheadLog.compact`, bounding disk usage.
+Compaction reads only frame headers (length, CRC, kind and cycle); it
+never decodes a payload.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+)
+
+import numpy as np
 
 from repro.errors import (
     ConfigurationError,
@@ -93,11 +128,20 @@ _HEADER = struct.Struct("<8sHQ")
 _RECORD_HEADER = struct.Struct("<II")
 
 #: Bump when the segment layout changes; old segments are rejected.
-WAL_VERSION = 1
+WAL_VERSION = 2
 
-#: Sanity ceiling for one record's payload; a length field above this is
-#: treated as corruption, not as a 4 GiB allocation request.
-_MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
+#: Fixed header opening every frame body: kind code, cycle, entry
+#: count, id-blob byte count, stamp count.
+_FRAME = struct.Struct("<BqIII")
+_CYCLE, _MARK, _DELIVERY, _FINISH = 1, 2, 3, 4
+_KIND_CODES = {
+    "cycle": _CYCLE, "mark": _MARK, "delivery": _DELIVERY, "finish": _FINISH
+}
+_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+_U8, _U32 = np.dtype("u1"), np.dtype("<u4")
+_I64, _F64 = np.dtype("<i8"), np.dtype("<f8")
+#: Stamp flag bits.
+_HAS_SLOT, _FOLD = 1, 2
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
@@ -178,16 +222,6 @@ class WALReplay:
         return last
 
 
-def _pack_value(value: float | MeterReading) -> float | list:
-    """JSON shape for one reading: float, or [value, slot, fold] when
-    the reading carries stamps the replay must re-screen."""
-    if isinstance(value, MeterReading):
-        if value.slot is not None or value.fold:
-            return [_coerce(value.value), value.slot, bool(value.fold)]
-        value = value.value
-    return _coerce(value)
-
-
 def _coerce(value: object) -> float:
     try:
         return float(value)  # type: ignore[arg-type]
@@ -197,67 +231,117 @@ def _coerce(value: object) -> float:
         return float("nan")
 
 
-def _unpack_value(value: object) -> float | MeterReading:
-    if isinstance(value, list):
-        raw, slot, fold = (list(value) + [None, False])[:3]
-        return MeterReading(
-            value=_coerce(raw),
-            slot=None if slot is None else int(slot),
-            fold=bool(fold),
+def _body_size(code: int, count: int, blob: int, stamps: int) -> int:
+    """The body length a frame header implies (``-1``: invalid header)."""
+    if code == _CYCLE:  # id length u32, value f64; stamp u32 + i64 + u8
+        return _FRAME.size + count * 12 + blob + stamps * 13
+    if code == _DELIVERY and stamps == 0:  # id length, slot i64, value
+        return _FRAME.size + count * 20 + blob
+    if code in (_MARK, _FINISH) and count == blob == stamps == 0:
+        return _FRAME.size
+    return -1
+
+
+def _key_section(keys: Collection) -> tuple[int, bytes]:
+    """Encode consumer ids, in iteration order: ``(blob byte count,
+    lengths + blob)``."""
+    try:
+        text = "".join(keys)
+    except TypeError:
+        keys = [str(key) for key in keys]
+        text = "".join(keys)
+    blob = text.encode("utf-8", "surrogatepass")
+    lengths = np.fromiter(map(len, keys), _U32, len(keys))
+    return len(blob), lengths.tobytes() + blob
+
+
+def _cycle_columns(values: Iterable, count: int) -> tuple[bytes, int]:
+    """A cycle's value column plus stamp section, and the stamp count.
+
+    ``values`` is iterated again when the float fast path fails, so it
+    must be re-iterable (a mapping's values view).
+    """
+    try:
+        return np.fromiter(values, _F64, count).tobytes(), 0
+    except (TypeError, ValueError):
+        pass
+    column = np.empty(count, _F64)
+    index, slots, flags = [], [], []
+    for i, value in enumerate(values):
+        if isinstance(value, MeterReading):
+            if value.slot is not None or value.fold:
+                index.append(i)
+                slots.append(0 if value.slot is None else value.slot)
+                flags.append(
+                    (_HAS_SLOT if value.slot is not None else 0)
+                    | (_FOLD if value.fold else 0)
+                )
+            value = value.value
+        column[i] = _coerce(value)
+    return (
+        column.tobytes()
+        + np.array(index, _U32).tobytes()
+        + np.array(slots, _I64).tobytes()
+        + np.array(flags, _U8).tobytes()
+    ), len(index)
+
+
+def _decode_frame(body: bytes) -> WALRecord:
+    """Decode one CRC-checked frame body into its record."""
+    code, cycle, count, blob, stamps = _FRAME.unpack_from(body)
+    kind = _KIND_NAMES[code]
+    if code in (_MARK, _FINISH):
+        return WALRecord(kind=kind, cycle=cycle)
+    offset = _FRAME.size
+    lengths = np.frombuffer(body, _U32, count, offset)
+    offset += 4 * count
+    text = body[offset : offset + blob].decode("utf-8", "surrogatepass")
+    offset += blob
+    bounds = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
+    if bounds[-1] != len(text):
+        raise ValueError("consumer-id lengths disagree with the id blob")
+    keys = list(map(text.__getitem__, map(slice, bounds, bounds[1:])))
+    if code == _DELIVERY:
+        slots = np.frombuffer(body, _I64, count, offset).tolist()
+        values = np.frombuffer(body, _F64, count, offset + 8 * count)
+        return WALRecord(
+            kind=kind,
+            cycle=cycle,
+            deliveries=tuple(zip(keys, slots, values.tolist())),
         )
-    return _coerce(value)
-
-
-def _encode(record: WALRecord) -> bytes:
-    payload: dict = {"k": record.kind, "t": int(record.cycle)}
-    if record.readings is not None:
-        payload["r"] = {
-            str(cid): _pack_value(v) for cid, v in record.readings.items()
-        }
-    if record.deliveries is not None:
-        payload["d"] = [
-            [str(cid), int(slot), _coerce(value)]
-            for cid, slot, value in record.deliveries
-        ]
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    header = _RECORD_HEADER.pack(len(body), zlib.crc32(body))
-    return header + body
-
-
-def _decode(payload: bytes) -> WALRecord:
-    obj = json.loads(payload.decode("utf-8"))
-    readings = obj.get("r")
-    if readings is not None:
-        readings = {str(cid): _unpack_value(v) for cid, v in readings.items()}
-    deliveries = obj.get("d")
-    if deliveries is not None:
-        deliveries = tuple(
-            (str(cid), int(slot), _coerce(value))
-            for cid, slot, value in deliveries
+    values = np.frombuffer(body, _F64, count, offset).tolist()
+    readings: dict[str, float | MeterReading] = dict(zip(keys, values))
+    offset += 8 * count
+    index = np.frombuffer(body, _U32, stamps, offset).tolist()
+    slots = np.frombuffer(body, _I64, stamps, offset + 4 * stamps).tolist()
+    flags = np.frombuffer(body, _U8, stamps, offset + 12 * stamps).tolist()
+    for i, slot, flag in zip(index, slots, flags):
+        readings[keys[i]] = MeterReading(
+            value=values[i],
+            slot=slot if flag & _HAS_SLOT else None,
+            fold=bool(flag & _FOLD),
         )
-    return WALRecord(
-        kind=str(obj["k"]),
-        cycle=int(obj["t"]),
-        readings=readings,
-        deliveries=deliveries,
-    )
+    return WALRecord(kind=kind, cycle=cycle, readings=readings)
 
 
-def _scan_segment(path: str) -> tuple[list[WALRecord], int, bool]:
-    """Decode one segment's valid prefix.
+def _walk_segment(
+    path: str,
+) -> tuple[bytes, list[tuple[int, int, int]], int, bool]:
+    """Walk one segment's frame headers without decoding any payload.
 
-    Returns ``(records, valid_bytes, torn)`` where ``valid_bytes`` is
-    the offset up to which the file is well-formed and ``torn`` whether
-    anything (partial header, short payload, CRC mismatch, undecodable
-    payload) follows it.  Zero-byte files are valid and empty — they
-    are what repairing a segment torn inside its *file* header leaves.
+    Returns ``(data, frames, valid_bytes, torn)``: the file's bytes,
+    ``(body_start, body_end, cycle)`` for each valid frame, the offset
+    up to which the file is well-formed, and whether anything (partial
+    header, short body, header/length mismatch, CRC mismatch) follows
+    it.  Zero-byte files are valid and empty — they are what repairing
+    a segment torn inside its *file* header leaves.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     if len(data) == 0:
-        return [], 0, False
+        return data, [], 0, False
     if len(data) < _HEADER.size:
-        return [], 0, True
+        return data, [], 0, True
     magic, version, _base = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise WALCorruptionError(
@@ -267,27 +351,42 @@ def _scan_segment(path: str) -> tuple[list[WALRecord], int, bool]:
         raise WALCorruptionError(
             f"{path!r} has WAL version {version}, expected {WAL_VERSION}"
         )
-    records: list[WALRecord] = []
+    view = memoryview(data)
+    frames: list[tuple[int, int, int]] = []
     offset = _HEADER.size
     while offset < len(data):
-        if offset + _RECORD_HEADER.size > len(data):
-            return records, offset, True
-        length, crc = _RECORD_HEADER.unpack_from(data, offset)
-        if length > _MAX_PAYLOAD_BYTES:
-            return records, offset, True
         start = offset + _RECORD_HEADER.size
+        if start + _FRAME.size > len(data):
+            return data, frames, offset, True
+        length, crc = _RECORD_HEADER.unpack_from(data, offset)
+        code, cycle, count, blob, stamps = _FRAME.unpack_from(data, start)
         end = start + length
-        if end > len(data):
-            return records, offset, True
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return records, offset, True
-        try:
-            records.append(_decode(payload))
-        except (ValueError, KeyError, TypeError):
-            return records, offset, True
+        if (
+            _body_size(code, count, blob, stamps) != length
+            or end > len(data)
+            or zlib.crc32(view[start:end]) != crc
+        ):
+            return data, frames, offset, True
+        frames.append((start, end, cycle))
         offset = end
-    return records, offset, False
+    return data, frames, offset, False
+
+
+def _scan_segment(path: str) -> tuple[list[WALRecord], int, bool]:
+    """Decode one segment's valid prefix.
+
+    Returns ``(records, valid_bytes, torn)`` as :func:`_walk_segment`
+    does; a frame that passes its CRC but fails to decode ends the
+    valid prefix too.
+    """
+    data, frames, valid_bytes, torn = _walk_segment(path)
+    records: list[WALRecord] = []
+    for start, end, _cycle in frames:
+        try:
+            records.append(_decode_frame(data[start:end]))
+        except (ValueError, KeyError, IndexError):
+            return records, start - _RECORD_HEADER.size, True
+    return records, valid_bytes, torn
 
 
 def replay_wal(directory: str | os.PathLike) -> WALReplay:
@@ -497,7 +596,7 @@ class WriteAheadLog:
             self._open_segment(base_cycle=record.cycle)
         elif self._segment_bytes >= self.segment_max_bytes:
             self._rotate(base_cycle=record.cycle)
-        data = _encode(record)
+        data = self._frame(record)
 
         def _attempt() -> None:
             try:
@@ -521,6 +620,29 @@ class WriteAheadLog:
         if record.cycle > self.last_appended_cycle:
             self.last_appended_cycle = record.cycle
         self._count("fdeta_wal_appends_total", "WAL records appended.")
+
+    def _frame(self, record: WALRecord) -> bytes:
+        """Encode one record as a self-contained, CRC-framed frame."""
+        count = blob = stamps = 0
+        columns = b""
+        if record.readings is not None:
+            count = len(record.readings)
+            blob, section = _key_section(record.readings)
+            values, stamps = _cycle_columns(record.readings.values(), count)
+            columns = section + values
+        elif record.deliveries:
+            cids, slots, values = zip(*record.deliveries)
+            count = len(cids)
+            blob, section = _key_section(cids)
+            columns = (
+                section
+                + np.fromiter(slots, _I64, count).tobytes()
+                + np.fromiter(values, _F64, count).tobytes()
+            )
+        body = _FRAME.pack(
+            _KIND_CODES[record.kind], record.cycle, count, blob, stamps
+        ) + columns
+        return _RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
 
     def append_cycle(
         self, cycle: int, readings: Mapping[str, float | MeterReading]
@@ -554,10 +676,7 @@ class WriteAheadLog:
             WALRecord(
                 kind="delivery",
                 cycle=int(index),
-                deliveries=tuple(
-                    (str(cid), int(slot), float(value))
-                    for cid, slot, value in deliveries
-                ),
+                deliveries=tuple(deliveries),
             )
         )
 
@@ -637,7 +756,9 @@ class WriteAheadLog:
         A segment is covered when every record in it has
         ``cycle < up_to_cycle``.  Deletion proceeds from the oldest
         segment and stops at the first uncovered (or the active) one,
-        so the surviving log is always a contiguous suffix.  Returns
+        so the surviving log is always a contiguous suffix.  Only frame
+        headers are read; a sealed segment with an invalid frame is
+        never covered, so compaction keeps it and stops there.  Returns
         the number of segments removed.
         """
         removed = 0
@@ -645,8 +766,8 @@ class WriteAheadLog:
         for path in list_segments(self.directory):
             if active is not None and os.path.samefile(path, active):
                 break
-            records, _valid, _torn = _scan_segment(path)
-            if any(r.cycle >= up_to_cycle for r in records):
+            _data, frames, _valid, torn = _walk_segment(path)
+            if torn or any(cycle >= up_to_cycle for *_, cycle in frames):
                 break
             os.unlink(path)
             removed += 1

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.durability import wal as wal_module
 from repro.durability.wal import (
     WAL_VERSION,
     WALRecord,
@@ -252,6 +253,41 @@ class TestCompaction:
         wal = self._multi_segment_wal(tmp_path / "wal")
         removed_low = wal.compact(up_to_cycle=1)
         assert removed_low == 0
+        wal.close()
+
+    def test_compact_reads_only_frame_headers(self, tmp_path, monkeypatch):
+        wal = self._multi_segment_wal(tmp_path / "wal")
+        sealed = wal.segments()[:-1]
+        covered = 0
+        for path in sealed:
+            records, _valid, _torn = wal_module._scan_segment(path)
+            if any(r.cycle >= 40 for r in records):
+                break
+            covered += 1
+        assert 0 < covered < len(sealed)
+
+        def _refuse(body):
+            raise AssertionError("compaction decoded a payload")
+
+        monkeypatch.setattr(wal_module, "_decode_frame", _refuse)
+        assert wal.compact(up_to_cycle=40) == covered
+        assert wal.compact(up_to_cycle=10_000) == len(sealed) - covered
+        assert wal.segments() == [wal.active_segment]
+        wal.close()
+
+    def test_corrupt_sealed_segment_is_kept(self, tmp_path):
+        wal = self._multi_segment_wal(tmp_path / "wal")
+        first, second = wal.segments()[:2]
+        # Flip a byte in the last frame's value column: the frames before
+        # it are still valid, and every cycle in the segment is covered.
+        with open(second, "r+b") as handle:
+            handle.seek(-2, os.SEEK_END)
+            byte = handle.read(1)
+            handle.seek(-2, os.SEEK_END)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        assert wal.compact(up_to_cycle=10_000) == 1
+        assert not os.path.exists(first)
+        assert wal.segments()[0] == second
         wal.close()
 
 

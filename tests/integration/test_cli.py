@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import struct
+import zlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -494,6 +498,56 @@ class TestMonitorFleetOverload:
         assert code == 4
         assert "4 consumer-week(s) shed, 1344 deadline overrun(s)" in err
         assert "total alerts: 0" in out
+
+
+class TestMonitorOldWALVersion:
+    """A version-1 (JSON) WAL segment fails every monitor run path with
+    the same one-line ``recovery failed`` message and exit code 2."""
+
+    _base = ["monitor", "--consumers", "3", "--weeks", "6",
+             "--min-training-weeks", "3"]
+
+    @staticmethod
+    def _write_v1_segment(directory):
+        """One cycle record as the version-1 JSON codec framed it."""
+        payload = b'{"k":"cycle","t":0,"r":{"C0":1.0}}'
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, "wal-00000001.seg"), "wb") as h:
+            h.write(struct.pack("<8sHQ", b"FDWALSEG", 1, 0))
+            h.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            h.write(payload)
+
+    def _fails_typed(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "recovery failed:" in err
+        assert "has WAL version 1, expected 2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("recover", [["--recover"], []])
+    def test_single_service(self, tmp_path, capsys, recover):
+        self._write_v1_segment(tmp_path / "wal")
+        self._fails_typed(
+            self._base + ["--wal-dir", str(tmp_path / "wal"), *recover],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("recover", [["--recover"], []])
+    def test_eventtime(self, tmp_path, capsys, recover):
+        self._write_v1_segment(tmp_path / "wal")
+        self._fails_typed(
+            self._base
+            + ["--eventtime", "--wal-dir", str(tmp_path / "wal"), *recover],
+            capsys,
+        )
+
+    def test_fleet_open(self, tmp_path, capsys):
+        self._write_v1_segment(tmp_path / "fleet" / "shard-0000")
+        self._fails_typed(
+            self._base
+            + ["--shards", "2", "--wal-dir", str(tmp_path / "fleet")],
+            capsys,
+        )
 
 
 class TestMonitorEventTime:
