@@ -14,7 +14,7 @@ from repro.attacks.model import (
     verify_proposition2,
 )
 from repro.attacks.taxonomy import AttackDescriptor, classify_attack, render_table_i
-from repro.attacks.planner import AttackPlan, DefensePosture, best_attack, plan_attack
+from repro.attacks.planner import AttackPlan, DefensePosture, plan_attack
 from repro.attacks.bounds import (
     max_over_report_under_band,
     max_over_report_under_moment_checks,
@@ -43,7 +43,6 @@ __all__ = [
     "AttackPlan",
     "AttackVector",
     "DefensePosture",
-    "best_attack",
     "plan_attack",
     "InjectionContext",
     "IntegratedARIMAAttack",

@@ -176,17 +176,3 @@ def plan_attack(
 
     plans.sort(key=lambda p: -p.expected_weekly_gain_usd)
     return plans
-
-
-def best_attack(
-    actual_week: np.ndarray,
-    pricing: PricingScheme,
-    posture: DefensePosture,
-) -> AttackPlan:
-    """The top-ranked plan (raises if nothing is feasible)."""
-    plans = plan_attack(actual_week, pricing, posture)
-    if not plans:
-        raise ConfigurationError(
-            "no attack class is feasible under this posture"
-        )
-    return plans[0]

@@ -60,6 +60,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     use_registry,
 )
+from repro.observability.ops.profiler import NULL_STAGE
 from repro.observability.tracing import Tracer
 from repro.resilience.circuit import BreakerBoard, BreakerState
 from repro.resilience.config import ResilienceConfig
@@ -67,10 +68,6 @@ from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 #: How many consumer ids a population-mismatch error spells out.
 _MISMATCH_IDS_SHOWN = 10
-
-#: Shared no-op profiler stage; ``nullcontext`` is stateless, so the
-#: same instance can be open in several nested stages at once.
-_NULL_STAGE = contextlib.nullcontext()
 
 #: Alert severity (score / threshold) bands used as a metric label, so
 #: alert counters stay low-cardinality instead of carrying raw floats.
@@ -435,7 +432,7 @@ class TheftMonitoringService:
         O(stages) state no matter how many cycles run.
         """
         if self.profiler is None:
-            return _NULL_STAGE
+            return NULL_STAGE
         return self.profiler.stage(name)
 
     def ingest_cycle(

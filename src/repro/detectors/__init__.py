@@ -8,28 +8,17 @@ minimum-average threshold detector of Mashima & Cardenas (RAID 2012).
 
 from repro.detectors.base import DetectionResult, WeeklyDetector
 from repro.detectors.arima_detector import ARIMADetector
-from repro.detectors.cusum import CusumDetector, CusumState
 from repro.detectors.holtwinters_detector import HoltWintersDetector
 from repro.detectors.integrated_arima import IntegratedARIMADetector
 from repro.detectors.pca import PCADetector
-from repro.detectors.registry import (
-    available_detectors,
-    create_detector,
-    register_detector,
-)
 from repro.detectors.threshold import MinimumAverageDetector
 
 __all__ = [
     "ARIMADetector",
-    "CusumDetector",
-    "CusumState",
     "DetectionResult",
     "HoltWintersDetector",
     "IntegratedARIMADetector",
     "MinimumAverageDetector",
     "PCADetector",
     "WeeklyDetector",
-    "available_detectors",
-    "create_detector",
-    "register_detector",
 ]

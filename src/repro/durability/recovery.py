@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -35,6 +34,7 @@ from repro.errors import (
     StorageDegradedError,
     TransientStorageError,
 )
+from repro.observability.ops.profiler import maybe_stage
 from repro.quarantine.firewall import MeterReading
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -48,16 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.observability.tracing import Tracer
 
 __all__ = ["DurableTheftMonitor", "RecoveryResult", "recover_monitor"]
-
-#: Shared no-op stage; ``nullcontext`` is stateless, so one instance is
-#: safely re-entered from nested stages.
-_NULL_STAGE = nullcontext()
-
-
-def _maybe_stage(profiler, name: str):
-    """``profiler.stage(name)`` or a no-op when profiling is off."""
-    return profiler.stage(name) if profiler is not None else _NULL_STAGE
-
 
 @dataclass(frozen=True)
 class RecoveryResult:
@@ -201,7 +191,7 @@ class DurableTheftMonitor:
     acknowledged (the producer still holds it), subsequent ingests are
     refused up front with :class:`~repro.errors.StorageDegradedError`,
     the attached :class:`~repro.loadcontrol.queue.BackpressureSignal`
-    engages so admission stops accepting readings, and already-committed
+    engages so the producer holds its readings, and already-committed
     state keeps serving verdicts.  :meth:`try_resume` probes the volume
     and re-opens ingestion once space is back.
     """
@@ -290,7 +280,7 @@ class DurableTheftMonitor:
                 f"cycle {expected}; the head-end skipped ahead"
             )
         try:
-            with _maybe_stage(self.profiler, "wal_append"):
+            with maybe_stage(self.profiler, "wal_append"):
                 if deadline is not None:
                     with deadline.stage("wal_append"):
                         self._append(cycle_index, reported)
@@ -313,10 +303,11 @@ class DurableTheftMonitor:
                 # never claims coverage of cycles the log could still
                 # lose, then compact segments every retained checkpoint
                 # generation has made redundant.
-                with _maybe_stage(self.profiler, "wal_sync"):
-                    self.wal.sync()
-                self._cycles_since_sync = 0
-                with _maybe_stage(self.profiler, "checkpoint"):
+                if self._cycles_since_sync:
+                    with maybe_stage(self.profiler, "wal_sync"):
+                        self.wal.sync()
+                    self._cycles_since_sync = 0
+                with maybe_stage(self.profiler, "checkpoint"):
                     self.service.checkpoint(self.checkpoint_path)
                 self.wal.mark_checkpoint(self.service.cycles_ingested)
                 self._checkpoint_cycles.append(self.service.cycles_ingested)

@@ -495,6 +495,8 @@ class WriteAheadLog:
         self.last_appended_cycle = -1
         #: Highest cycle index known durable (on disk past an fsync).
         self.last_synced_cycle = -1
+        #: Bytes (segment headers included) written since the last fsync.
+        self._dirty = False
         self._open_segment(base_cycle=0)
 
     # ------------------------------------------------------------------
@@ -539,7 +541,8 @@ class WriteAheadLog:
         self._next_seq += 1
 
     def _rotate(self, base_cycle: int) -> None:
-        self.sync()
+        if self._dirty:
+            self.sync()
         assert self._handle is not None
         old = self._handle
         # Drop the sealed handle first: if closing or reopening fails,
@@ -565,6 +568,7 @@ class WriteAheadLog:
         assert self._handle is not None
         self._io.write(self._handle, data, site="wal.append")
         self._segment_bytes += len(data)
+        self._dirty = True
 
     def _rollback_partial(self) -> None:
         """Discard a failed append's partial bytes so a retry lands clean.
@@ -576,6 +580,7 @@ class WriteAheadLog:
         """
         if self._handle is None:
             return
+        self._dirty = True  # the truncation below changes the file too
         try:
             self._handle.flush()
         except OSError:  # the flush of a doomed buffer may fail too
@@ -687,16 +692,18 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Flush and fsync: everything appended so far becomes durable.
 
-        Raw :class:`OSError` never escapes: failures surface as the
-        typed :class:`~repro.errors.StorageError` hierarchy, with
-        transient (``EIO``-class) ones retried under :attr:`retry`.
+        A sync with nothing written since the last fsync is free: it
+        neither fsyncs nor counts in :attr:`syncs`.  Raw
+        :class:`OSError` never escapes: failures surface as the typed
+        :class:`~repro.errors.StorageError` hierarchy, with transient
+        (``EIO``-class) ones retried under :attr:`retry`.
         """
         if self._closed:
             raise WALError("write-ahead log is closed")
-        if self._handle is None:
-            # A failed rotation left no active segment; the sealed
-            # segments were synced before they closed, so there is
-            # nothing volatile to flush.
+        if self._handle is None or not self._dirty:
+            # Nothing volatile to flush: either nothing was written
+            # since the last fsync, or a failed rotation left no active
+            # segment (sealed segments were synced before they closed).
             self.last_synced_cycle = self.last_appended_cycle
             return
 
@@ -715,6 +722,7 @@ class WriteAheadLog:
             self._op_outcome("wal.sync", "error")
             raise
         self._op_outcome("wal.sync", "ok")
+        self._dirty = False
         self.syncs += 1
         self.last_synced_cycle = self.last_appended_cycle
         self._count("fdeta_wal_syncs_total", "WAL fsync points.")
@@ -724,7 +732,8 @@ class WriteAheadLog:
             return
         if self._handle is not None:
             try:
-                self.sync()
+                if self._dirty:
+                    self.sync()
             finally:
                 self._handle.close()
                 self._handle = None
@@ -784,7 +793,7 @@ class WriteAheadLog:
             self.metrics.counter(name, help).inc(amount)
 
     def _op_outcome(self, site: str, outcome: str) -> None:
-        """Feed the ``storage_availability`` SLO: one op, one outcome."""
+        """Count one durable storage op at ``site`` by its outcome."""
         if self.metrics is not None:
             self.metrics.counter(
                 "fdeta_storage_ops_total",

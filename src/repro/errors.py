@@ -62,7 +62,7 @@ class NonFiniteInputError(DataError):
 
 
 class LoadControlError(ResilienceError):
-    """The overload-control layer (queues, admission, shedding) failed."""
+    """The overload-control layer (queues, shedding, deadlines) failed."""
 
 
 class QueueDrainedError(LoadControlError):

@@ -5,7 +5,6 @@
   bins on the results is a study to be included in extensions of this
   paper."
 * :func:`divergence_sweep` — KL vs Jensen-Shannon as the week statistic.
-* :func:`training_size_sweep` — sensitivity to the training-set length.
 """
 
 from __future__ import annotations
@@ -126,43 +125,3 @@ def divergence_sweep(
             false_positive_rate=false_positives / len(prepared),
         )
     return results
-
-
-def training_size_sweep(
-    dataset: SmartMeterDataset,
-    consumers: tuple[str, ...],
-    training_weeks: tuple[int, ...] = (8, 16, 30, 45, 60),
-    significance: float = 0.05,
-    config: EvaluationConfig | None = None,
-) -> list[AblationPoint]:
-    """Detection/false-positive rates for shortened training histories."""
-    if not consumers:
-        raise ConfigurationError("need at least one consumer")
-    cfg = config if config is not None else EvaluationConfig()
-    prepared = _attack_and_normal_weeks(dataset, consumers, cfg)
-    points = []
-    for weeks in training_weeks:
-        detected = 0
-        false_positives = 0
-        usable = 0
-        for train, attack_week, normal_week in prepared:
-            if train.shape[0] < weeks or weeks < 2:
-                continue
-            usable += 1
-            detector = KLDDetector(
-                bins=cfg.bins, significance=significance
-            ).fit(train[-weeks:])
-            if detector.flags(attack_week):
-                detected += 1
-            if detector.flags(normal_week):
-                false_positives += 1
-        if usable == 0:
-            continue
-        points.append(
-            AblationPoint(
-                parameter=float(weeks),
-                detection_rate=detected / usable,
-                false_positive_rate=false_positives / usable,
-            )
-        )
-    return points

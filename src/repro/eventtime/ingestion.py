@@ -30,7 +30,6 @@ attached to the service, closing the loop with load shedding.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -38,6 +37,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.eventtime.reorder import OfferOutcome, ReorderBuffer, StampedReading
 from repro.eventtime.watermark import WatermarkTracker
 from repro.loadcontrol.queue import BackpressureSignal
+from repro.observability.ops.profiler import maybe_stage
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.online import MonitoringReport, TheftMonitoringService
@@ -48,16 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: :class:`~repro.loadcontrol.queue.BoundedCycleQueue`'s hysteresis.
 _HIGH_WATERMARK = 0.8
 _LOW_WATERMARK = 0.3
-
-#: Shared no-op stage; ``nullcontext`` is stateless, so one instance is
-#: safely re-entered from nested stages.
-_NULL_STAGE = nullcontext()
-
-
-def _maybe_stage(profiler, name: str):
-    """``profiler.stage(name)`` or a no-op when profiling is off."""
-    return profiler.stage(name) if profiler is not None else _NULL_STAGE
-
 
 @dataclass(frozen=True)
 class DeliveryOutcome:
@@ -186,17 +176,17 @@ class EventTimeIngestor:
             # Append-before-process: the batch must be durable before it
             # can mutate watermark or service state, so replay sees
             # exactly the deliveries the live run acted on.
-            with _maybe_stage(self.profiler, "wal_append"):
+            with maybe_stage(self.profiler, "wal_append"):
                 self.wal.append_delivery(
                     index,
                     ((r.consumer_id, r.slot, r.value) for r in readings),
                 )
         self.deliveries += 1
         counts = _Counts()
-        with _maybe_stage(self.profiler, "route"):
+        with maybe_stage(self.profiler, "route"):
             for reading in readings:
                 self._route(reading, counts)
-        with _maybe_stage(self.profiler, "release"):
+        with maybe_stage(self.profiler, "release"):
             self._release(counts)
         self._publish_telemetry()
         if self.wal is not None and counts.reports:
@@ -215,7 +205,7 @@ class EventTimeIngestor:
             self.wal.append_finish(self.deliveries)
         self.finished = True
         counts = _Counts()
-        with _maybe_stage(self.profiler, "finish"):
+        with maybe_stage(self.profiler, "finish"):
             for slot, released in self.buffer.flush():
                 counts.released_slots += 1
                 report = self.service.ingest_cycle(released)

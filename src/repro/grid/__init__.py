@@ -26,7 +26,7 @@ from repro.grid.builder import (
     build_random_topology,
 )
 from repro.grid.losses import FeederSegment, ImpedanceLossModel
-from repro.grid.render import render_audit, render_tree
+from repro.grid.render import render_tree
 from repro.grid.serialization import (
     load_topology,
     save_topology,
@@ -39,7 +39,6 @@ __all__ = [
     "ImpedanceLossModel",
     "build_linear_topology",
     "load_topology",
-    "render_audit",
     "render_tree",
     "save_topology",
     "topology_from_dict",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TopologyError
-from repro.grid.balance import BalanceAuditor, BalanceCheckReport
+from repro.grid.balance import BalanceCheckReport
 from repro.grid.snapshot import DemandSnapshot
 from repro.grid.topology import NodeKind, RadialTopology
 
@@ -139,11 +139,3 @@ def serviceman_search(
 def exhaustive_inspection_cost(topology: RadialTopology) -> int:
     """Cost of the naive O(N) strategy: inspect every consumer meter."""
     return len(topology.consumers())
-
-
-def run_case1(
-    auditor: BalanceAuditor, snapshot: DemandSnapshot
-) -> InvestigationResult:
-    """Convenience wrapper: audit then run the Case-1 investigation."""
-    report = auditor.audit(snapshot)
-    return deepest_failure_investigation(auditor.topology, report)

@@ -63,21 +63,3 @@ def render_tree(
 
     walk(topology.root_id, "", True, True)
     return "\n".join(lines)
-
-
-def render_audit(
-    topology: RadialTopology,
-    failing_nodes: tuple[str, ...],
-    unicode_markers: bool = True,
-) -> str:
-    """Tree rendering with balance-check failures marked."""
-    failing = set(failing_nodes)
-
-    def annotate(node_id: str) -> str:
-        if node_id in failing:
-            return "<< W: balance check FAILED"
-        return ""
-
-    return render_tree(
-        topology, annotate=annotate, unicode_markers=unicode_markers
-    )

@@ -1,12 +1,10 @@
-"""Overload control: backpressure, admission, shedding, deadlines.
+"""Overload control: backpressure, shedding, deadlines.
 
 This package keeps the monitoring pipeline *bounded* under read storms
 and overload:
 
 * :mod:`repro.loadcontrol.queue` — bounded ingestion queues with an
   explicit :class:`BackpressureSignal` back to the producer;
-* :mod:`repro.loadcontrol.admission` — token-bucket/AIMD admission
-  control at the head-end, with a bounded-starvation aging guarantee;
 * :mod:`repro.loadcontrol.shedding` — priority-tiered load shedding
   (suspects score first; healthy consumers degrade to coverage-counted
   gaps);
@@ -17,12 +15,6 @@ The self-healing shard fleet these controls sit in front of is
 :class:`repro.scaleout.ElasticFleet`.
 """
 
-from repro.loadcontrol.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AIMDRate,
-    TokenBucket,
-)
 from repro.loadcontrol.config import LoadControlConfig, ShedPolicy
 from repro.loadcontrol.deadline import Deadline, STAGE_SECONDS_BUCKETS
 from repro.loadcontrol.queue import (
@@ -33,9 +25,6 @@ from repro.loadcontrol.queue import (
 from repro.loadcontrol.shedding import LoadShedder, ShedTier
 
 __all__ = [
-    "AIMDRate",
-    "AdmissionController",
-    "AdmissionDecision",
     "BackpressureSignal",
     "BoundedCycleQueue",
     "BufferedIngestor",
@@ -45,5 +34,4 @@ __all__ = [
     "STAGE_SECONDS_BUCKETS",
     "ShedPolicy",
     "ShedTier",
-    "TokenBucket",
 ]

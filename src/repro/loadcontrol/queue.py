@@ -11,9 +11,9 @@ pieces:
   ``offer`` *rejects* when full instead of blocking or silently
   dropping, so the producer always learns it must hold and re-offer.
 * :class:`BackpressureSignal` — the explicit slow-down channel from the
-  service back to the head-end: engaged when queue depth crosses the
-  high watermark, released below the low watermark (hysteresis), and
-  consulted by the head-end's AIMD admission controller.
+  service back to the producer: engaged when queue depth crosses the
+  high watermark, released below the low watermark (hysteresis); its
+  engaged-tick count drives pressure shedding.
 * :class:`BufferedIngestor` — glues a queue and a signal in front of
   any ingest callable (a bare service, a durable monitor, or a shard
   fleet), so the storm-facing surface is one ``submit``/``drain``

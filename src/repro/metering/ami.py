@@ -1,23 +1,14 @@
-"""AMI network and utility head-end.
+"""AMI network: the smart meters attached to a topology.
 
 Ties the metering layer to the grid topology: each consumer leaf carries a
-:class:`~repro.metering.meter.SmartMeter`; each polling period the utility
-head-end collects every meter's report and records it, together with the
-trusted root balance-meter measurement, for downstream detection.
-
-Trust-boundary note: the head-end's reading firewall screens *form* —
-NaN, negative, out-of-range, duplicate, clock-skewed readings.  It
-cannot screen *distribution*: a boiling-frog theft ramp sends readings
-that are individually well-formed and only collectively poisonous.
-That second screen lives downstream in ``repro.integrity`` (drift
-sentinels over the training window, canary-gated model promotion);
-everything the head-end admits here is still subject to it before any
-reading is allowed to train a detector.
+:class:`~repro.metering.meter.SmartMeter`, and each polling period
+:meth:`AMINetwork.snapshot` pairs every meter's report with the true
+demands, which is what the balance check of eqs (4)-(6)
+(:class:`repro.grid.balance.BalanceAuditor`) audits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -26,15 +17,8 @@ import numpy as np
 from repro.errors import MeteringError
 from repro.grid.snapshot import DemandSnapshot
 from repro.grid.topology import RadialTopology
-from repro.loadcontrol.admission import AdmissionController
-from repro.loadcontrol.queue import BackpressureSignal
-from repro.metering.channel import LossyChannel
 from repro.metering.errors_model import MeasurementErrorModel
 from repro.metering.meter import SmartMeter
-from repro.metering.store import ReadingStore
-from repro.observability.metrics import FRACTION_BUCKETS, MetricsRegistry
-from repro.quarantine.firewall import ReadingFirewall
-from repro.resilience.retry import RetryPolicy
 
 
 @dataclass
@@ -93,241 +77,3 @@ class AMINetwork:
             reported=reported,
             losses=dict(losses) if losses else {},
         )
-
-
-@dataclass
-class UtilityHeadEnd:
-    """Control-centre side: stores reported readings and root measurements.
-
-    The root balance meter is the single trusted measurement point of the
-    paper's evaluation setting (Section VII-A): it is co-located with the
-    control centre and feeds it over dedicated infrastructure.
-    """
-
-    ami: AMINetwork
-    store: ReadingStore = field(default_factory=ReadingStore)
-    root_measurements: list[float] = field(default_factory=list)
-    loss_totals: list[float] = field(default_factory=list)
-
-    def poll(
-        self,
-        actual_demands: Mapping[str, float],
-        rng: np.random.Generator,
-        losses: Mapping[str, float] | None = None,
-    ) -> DemandSnapshot:
-        """Run one polling cycle and archive its readings."""
-        snapshot = self.ami.snapshot(actual_demands, rng, losses=losses)
-        for cid, value in snapshot.reported.items():
-            self.store.append(cid, value)
-        self.root_measurements.append(
-            snapshot.true_demand_at(self.ami.topology.root_id)
-        )
-        self.loss_totals.append(sum(snapshot.losses.values()))
-        return snapshot
-
-    def root_balance_residuals(self) -> np.ndarray:
-        """Per-period residual of the root balance check (eq 6 with losses).
-
-        Positive residuals indicate unaccounted (potentially stolen)
-        power; a residual series near zero means every period balanced.
-        """
-        if not self.root_measurements:
-            raise MeteringError("no polling cycles recorded")
-        n = len(self.root_measurements)
-        consumers = self.store.consumers()
-        residuals = np.empty(n)
-        for t in range(n):
-            reported_sum = sum(self.store.series(cid)[t] for cid in consumers)
-            residuals[t] = (
-                self.root_measurements[t] - reported_sum - self.loss_totals[t]
-            )
-        return residuals
-
-    def consumer_count(self) -> int:
-        return len(self.ami.meters)
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """Outcome of one resilient polling cycle.
-
-    ``deferred`` lists consumers whose readings arrived intact but were
-    held back by admission control this cycle (stored as gaps; the
-    aging guarantee bounds how many consecutive cycles that can
-    happen to any one consumer).
-    """
-
-    delivered: dict[str, float]
-    missing: tuple[str, ...]
-    retried: int
-    deferred: tuple[str, ...] = ()
-
-    @property
-    def delivery_ratio(self) -> float:
-        total = len(self.delivered) + len(self.missing)
-        return len(self.delivered) / total if total else 1.0
-
-
-@dataclass
-class ResilientHeadEnd:
-    """A head-end polling its fleet over a lossy channel with re-polling.
-
-    Each cycle the head-end collects every meter's report, pushes it
-    through the channel, and then spends its
-    :class:`~repro.resilience.retry.RetryPolicy` budget re-requesting
-    readings that did not arrive.  Readings still missing after the
-    budget is exhausted are recorded as explicit gaps
-    (:meth:`~repro.metering.store.ReadingStore.append_gap`), keeping
-    every consumer's series slot-aligned; the resulting partial cycles
-    are exactly what
-    :meth:`repro.core.online.TheftMonitoringService.ingest_cycle`
-    accepts in gap-tolerant mode.
-
-    The ``channel`` only needs ``transmit``/``retransmit`` — a plain
-    :class:`~repro.metering.channel.LossyChannel` or the fault-injecting
-    :class:`~repro.resilience.faults.FaultyChannel` both qualify.
-
-    When a ``metrics`` registry is attached, each cycle records poll
-    counts, re-poll attempts (by retry round), budget exhaustion, gaps,
-    and the cycle's delivery ratio.
-
-    An optional ``firewall`` screens what the channel delivered before
-    anything is stored: quarantined readings (with their reason codes)
-    never enter the store and are recorded as gaps instead, while the
-    raw delivery still appears in :class:`CycleResult` so downstream
-    breaker accounting sees the failure.
-
-    An optional ``admission`` controller rate-limits what the head-end
-    forwards downstream: when the monitoring side's ``backpressure``
-    signal is engaged, the controller's AIMD loop cuts the admission
-    rate and intact readings beyond the token budget are *deferred* —
-    stored as gaps this cycle (the degraded-mode machinery counts them
-    against coverage) and re-admitted within the aging bound.
-    Screening runs before admission, so quarantined garbage never
-    spends admission tokens.
-    """
-
-    ami: AMINetwork
-    channel: LossyChannel
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    store: ReadingStore = field(default_factory=ReadingStore)
-    metrics: MetricsRegistry | None = None
-    firewall: ReadingFirewall | None = None
-    admission: AdmissionController | None = None
-    backpressure: BackpressureSignal | None = None
-    cycles_polled: int = 0
-    retries_sent: int = 0
-    gaps_recorded: int = 0
-    readings_deferred: int = 0
-
-    def poll(
-        self, actual_demands: Mapping[str, float], rng: np.random.Generator
-    ) -> CycleResult:
-        """Run one polling cycle, re-polling dropped readings."""
-        reported = self.ami.collect(actual_demands, rng)
-        delivered = dict(self.channel.transmit(reported, rng))
-        missing = [cid for cid in reported if cid not in delivered]
-        budget = float(self.retry.cycle_budget)
-        retried = 0
-        for attempt in range(self.retry.max_attempts):
-            if not missing:
-                break
-            cost = self.retry.attempt_cost(attempt)
-            batch = missing[: int(budget // cost)] if cost > 0 else missing
-            if not batch:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "fdeta_headend_budget_exhausted_total",
-                        "Retry rounds abandoned because the cycle budget "
-                        "could not afford a single re-request.",
-                    ).inc()
-                break
-            budget -= cost * len(batch)
-            retried += len(batch)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "fdeta_headend_repolls_total",
-                    "Individual meter re-requests, by retry round.",
-                    labels=("round",),
-                ).inc(len(batch), round=attempt)
-            redelivered = self.channel.retransmit(
-                {cid: reported[cid] for cid in batch}, rng
-            )
-            delivered.update(redelivered)
-            missing = [cid for cid in missing if cid not in delivered]
-        screened = delivered
-        if self.firewall is not None:
-            screened = self.firewall.screen(
-                delivered, cycle=self.cycles_polled, metrics=self.metrics
-            )
-        admitted: frozenset[str] | None = None
-        deferred: tuple[str, ...] = ()
-        if self.admission is not None:
-            # Screening already ran: only intact readings compete for
-            # admission tokens, so garbage cannot starve good meters.
-            candidates = [
-                cid
-                for cid in reported
-                if (value := screened.get(cid)) is not None
-                and math.isfinite(value)
-                and value >= 0
-            ]
-            pressure = (
-                self.backpressure.engaged
-                if self.backpressure is not None
-                else False
-            )
-            decision = self.admission.admit(candidates, pressure=pressure)
-            admitted = decision.admitted_set
-            deferred = decision.deferred
-        gaps = 0
-        for cid in reported:
-            value = screened.get(cid)
-            # Corrupted deliveries (non-finite/negative, e.g. from a
-            # FaultyChannel) — and anything the firewall quarantined —
-            # are stored as gaps but stay in `delivered` so the
-            # monitoring service can count them against the consumer's
-            # circuit breaker.  Deferred readings become gaps too, but
-            # deliberately: admission held them back this cycle.
-            valid = value is not None and math.isfinite(value) and value >= 0
-            if valid and (admitted is None or cid in admitted):
-                self.store.append(cid, value)
-            else:
-                self.store.append_gap(cid)
-                gaps += 1
-        self.cycles_polled += 1
-        self.retries_sent += retried
-        self.gaps_recorded += gaps
-        self.readings_deferred += len(deferred)
-        result = CycleResult(
-            delivered=delivered,
-            missing=tuple(missing),
-            retried=retried,
-            deferred=deferred,
-        )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "fdeta_headend_cycles_total", "Polling cycles run."
-            ).inc()
-            self.metrics.counter(
-                "fdeta_headend_readings_total",
-                "Readings per cycle outcome across all polls.",
-                labels=("outcome",),
-            ).inc(len(delivered), outcome="delivered")
-            if missing:
-                self.metrics.counter(
-                    "fdeta_headend_readings_total",
-                    "Readings per cycle outcome across all polls.",
-                    labels=("outcome",),
-                ).inc(len(missing), outcome="dropped")
-            if gaps:
-                self.metrics.counter(
-                    "fdeta_headend_gaps_total",
-                    "Readings recorded as gaps (missing or corrupt).",
-                ).inc(gaps)
-            self.metrics.histogram(
-                "fdeta_headend_delivery_ratio",
-                "Fraction of the fleet delivered per cycle after retries.",
-                buckets=FRACTION_BUCKETS,
-            ).observe(result.delivery_ratio)
-        return result

@@ -3,8 +3,8 @@
 Smart-meter reads travel over lossy links (PLC, mesh RF, cellular).
 :class:`LossyChannel` injects the two dominant failure modes — random
 per-reading drops and bursty outages that silence a meter for a stretch
-of polling cycles — so the head-end's gap handling and the preprocessing
-pipeline can be exercised under realistic failure injection.
+of polling cycles — so the monitoring service's gap handling and gap
+repair can be exercised under realistic failure injection.
 """
 
 from __future__ import annotations
@@ -93,43 +93,3 @@ class LossyChannel:
                 continue
             delivered[meter_id] = float(value)
         return delivered
-
-    def retransmit(
-        self, readings: Mapping[str, float], rng: np.random.Generator
-    ) -> dict[str, float]:
-        """Re-request readings within the *same* polling cycle.
-
-        Unlike :meth:`transmit`, a re-request neither advances outage
-        timers (outages are measured in polling cycles) nor can it start
-        a new outage; it only re-rolls the independent per-reading drop.
-        This is the primitive behind the head-end's retry policy
-        (:class:`repro.resilience.retry.RetryPolicy`).
-        """
-        delivered: dict[str, float] = {}
-        for meter_id, value in readings.items():
-            if self.in_outage(meter_id):
-                continue
-            if self.drop_rate > 0 and rng.random() < self.drop_rate:
-                continue
-            delivered[meter_id] = float(value)
-        return delivered
-
-
-def deliver_series(
-    series: np.ndarray,
-    channel: LossyChannel,
-    rng: np.random.Generator,
-    meter_id: str = "m",
-) -> np.ndarray:
-    """Push a whole series through the channel; lost slots become NaN.
-
-    Convenience for tests and studies that want a gappy series to feed
-    into :mod:`repro.data.preprocessing`.
-    """
-    arr = np.asarray(series, dtype=float).ravel()
-    out = np.full(arr.size, np.nan)
-    for t, value in enumerate(arr):
-        delivered = channel.transmit({meter_id: float(value)}, rng)
-        if meter_id in delivered:
-            out[t] = delivered[meter_id]
-    return out

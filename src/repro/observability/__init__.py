@@ -24,7 +24,8 @@ three classic signals, dependency-free:
 
 Instrumented components: :class:`~repro.core.online.TheftMonitoringService`
 (cycle latency, weekly reports, alerts, coverage, breaker transitions),
-:class:`~repro.metering.ami.ResilientHeadEnd` (polls, re-polls, gaps),
+:class:`~repro.quarantine.firewall.ReadingFirewall` (quarantined
+readings by reason),
 :class:`~repro.detectors.base.WeeklyDetector` (fit/score latency per
 detector), and the serial/parallel evaluation runners (per-worker
 registry snapshots merged across the process boundary).
@@ -33,7 +34,6 @@ registry snapshots merged across the process boundary).
 from repro.observability.bench import (
     BenchTimer,
     bench_diff,
-    read_bench_records,
     write_bench_record,
 )
 from repro.observability.events import EventLogger, StdlibBridgeHandler
@@ -97,7 +97,6 @@ __all__ = [
     "default_fleet_objectives",
     "global_registry",
     "parse_prometheus",
-    "read_bench_records",
     "render_status",
     "set_global_registry",
     "stitch_traces",

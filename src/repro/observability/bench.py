@@ -47,7 +47,6 @@ __all__ = [
     "BenchDiff",
     "BenchTimer",
     "bench_diff",
-    "read_bench_records",
     "write_bench_record",
 ]
 
@@ -158,20 +157,6 @@ def write_bench_record(
 
     atomic_write_json(path, payload, site="bench.record")
     return path
-
-
-def read_bench_records(
-    name: str, directory: str | os.PathLike | None = None
-) -> list[dict]:
-    """The accumulated trajectory for one benchmark (empty if none)."""
-    path = _record_path(name, directory)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return []
-    records = payload.get("records") if isinstance(payload, dict) else None
-    return list(records) if isinstance(records, list) else []
 
 
 # ----------------------------------------------------------------------

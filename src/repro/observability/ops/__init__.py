@@ -31,7 +31,6 @@ from repro.observability.ops.slo import (
     SLOReport,
     SLOTracker,
     default_fleet_objectives,
-    storage_objective,
 )
 from repro.observability.ops.status import render_status
 
@@ -44,6 +43,5 @@ __all__ = [
     "ShardHealth",
     "StageProfiler",
     "default_fleet_objectives",
-    "storage_objective",
     "render_status",
 ]

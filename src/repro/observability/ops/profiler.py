@@ -20,12 +20,21 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator
 
 from repro.errors import ConfigurationError
 
-__all__ = ["StageProfiler"]
+__all__ = ["NULL_STAGE", "StageProfiler", "maybe_stage"]
+
+#: The no-op stage of an absent profiler; ``nullcontext`` is stateless,
+#: so one shared instance is safely re-entered from nested stages.
+NULL_STAGE = nullcontext()
+
+
+def maybe_stage(profiler: "StageProfiler | None", name: str):
+    """``profiler.stage(name)``, or :data:`NULL_STAGE` when profiling is off."""
+    return profiler.stage(name) if profiler is not None else NULL_STAGE
 
 
 class _StageStats:

@@ -45,7 +45,6 @@ __all__ = [
     "SLOReport",
     "SLOTracker",
     "default_fleet_objectives",
-    "storage_objective",
 ]
 
 _KINDS = ("latency", "availability", "staleness")
@@ -332,27 +331,4 @@ def default_fleet_objectives(
             metric="fdeta_fleet_shard_lag_cycles",
             threshold=staleness_cycles,
         ),
-    )
-
-
-def storage_objective(target: float = 0.999) -> SLObjective:
-    """The storage-availability objective (opt-in, not in the stock set).
-
-    Counts the WAL's durable operations
-    (``fdeta_storage_ops_total{site,outcome}``): an append or sync that
-    exhausts its transient-retry budget or hits disk-full lands with
-    ``outcome="error"`` and spends error budget.  Append it to
-    :func:`default_fleet_objectives` when running with storage-fault
-    injection or on suspect volumes.
-    """
-    return SLObjective(
-        name="storage_availability",
-        description=(
-            "Durable WAL operations (append/fsync) complete without a "
-            "storage error."
-        ),
-        target=target,
-        kind="availability",
-        metric="fdeta_storage_ops_total",
-        bad_labels=(("outcome", "error"),),
     )

@@ -13,8 +13,8 @@ building blocks:
   validation, instead of letting them poison their detectors;
 * :mod:`repro.resilience.config` — the knobs that govern degraded-mode
   ingestion in :class:`repro.core.online.TheftMonitoringService`;
-* :mod:`repro.resilience.retry` — the head-end's within-cycle
-  re-polling budget for dropped readings;
+* :mod:`repro.resilience.retry` — the bounded-retry policy shared by
+  storage I/O and the shard transport;
 * :mod:`repro.resilience.faults` — a fault-injection harness layering
   duplicate, stuck, corrupted, and clock-skewed readings on top of the
   :class:`~repro.metering.channel.LossyChannel` loss model;

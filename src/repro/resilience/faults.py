@@ -124,7 +124,8 @@ class FaultInjector:
 class FaultyChannel:
     """A :class:`LossyChannel` whose surviving readings are also faulted.
 
-    Drop-in replacement for ``LossyChannel`` in head-end code: readings
+    Drop-in replacement for ``LossyChannel`` on the monitor's reading
+    path (``repro monitor`` wires one into the service): readings
     pass through the :class:`FaultInjector` first (corruption happens at
     the meter/relay), then through the loss model (the link drops frames
     regardless of their content).
@@ -137,13 +138,6 @@ class FaultyChannel:
         self, readings: Mapping[str, float], rng: np.random.Generator
     ) -> dict[str, float]:
         return self.channel.transmit(self.faults.apply(readings, rng), rng)
-
-    def retransmit(
-        self, readings: Mapping[str, float], rng: np.random.Generator
-    ) -> dict[str, float]:
-        """Within-cycle re-request; faults are sticky, so the injector is
-        *not* re-applied (the meter would resend the same bad frame)."""
-        return self.channel.retransmit(readings, rng)
 
     def silence(self, meter_id: str, cycles: int | None = None) -> None:
         """Silence a meter (forever when ``cycles`` is ``None``)."""

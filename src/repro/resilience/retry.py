@@ -1,15 +1,8 @@
 """The one bounded-retry policy shared across the whole pipeline.
 
-:class:`RetryPolicy` started life as the head-end's within-cycle
-re-polling budget (:class:`~repro.metering.ami.ResilientHeadEnd`): when
-a polling cycle ends with readings missing, AMI protocols allow
-re-requesting individual meters while the cycle window is still open,
-and each retry round waits geometrically longer for stragglers.  The
-same shape — bounded attempts, exponential backoff — turned out to be
-what every other retry loop in the tree needs too, so this module now
-owns it for all of them:
+:class:`RetryPolicy` is bounded attempts with exponential backoff, the
+shape every retry loop in the tree needs:
 
-* the head-end's re-polling budget (``cycle_budget`` + ``attempt_cost``);
 * transient storage errors (:func:`repro.storage.io.retry_io`);
 * control-plane transport timeouts
   (:class:`repro.transport.ShardClient`), which additionally use the
@@ -22,11 +15,6 @@ retryable, give up after ``max_attempts``.  Backoff never sleeps by
 default — the pipeline is simulation-clocked — but the per-attempt
 delay is computed (and handed to ``sleep`` when given) so a real
 deployment pays real backoff.
-
-Re-polling repairs *independent* drops (a lost frame on an otherwise
-healthy link) but deliberately cannot repair *outages*: a meter that is
-dark stays dark for the whole cycle, which is exactly the failure the
-downstream circuit breaker exists to catch.
 """
 
 from __future__ import annotations
@@ -44,20 +32,15 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Budgeted exponential-backoff re-polling within one cycle.
+    """Bounded attempts with exponential backoff.
 
     Parameters
     ----------
     max_attempts:
-        Retry rounds per cycle; each round re-requests every reading
-        still missing (budget permitting).
-    cycle_budget:
-        Total budget units available per polling cycle.  A re-request in
-        round ``r`` costs ``backoff_base ** r`` units, modelling the
-        geometrically longer wait each backoff round spends inside the
-        fixed cycle window.
+        Total attempts :func:`retry_call` makes before re-raising.
     backoff_base:
-        Growth factor of the per-round cost.
+        Growth factor of the per-round delay: round ``r`` waits
+        ``backoff_base ** r`` units before jitter.
     jitter:
         Fractional spread applied to :meth:`backoff` delays, in
         ``[0, 1)``.  The jitter is *deterministic* — a keyed hash of
@@ -67,7 +50,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 2
-    cycle_budget: int = 64
     backoff_base: float = 2.0
     jitter: float = 0.0
 
@@ -75,10 +57,6 @@ class RetryPolicy:
         if self.max_attempts < 0:
             raise ConfigurationError(
                 f"max_attempts must be >= 0, got {self.max_attempts}"
-            )
-        if self.cycle_budget < 0:
-            raise ConfigurationError(
-                f"cycle_budget must be >= 0, got {self.cycle_budget}"
             )
         if self.backoff_base < 1.0:
             raise ConfigurationError(
@@ -90,7 +68,7 @@ class RetryPolicy:
             )
 
     def attempt_cost(self, attempt: int) -> float:
-        """Budget units one re-request costs in retry round ``attempt``."""
+        """Un-jittered backoff units of retry round ``attempt``."""
         if attempt < 0:
             raise ConfigurationError(f"attempt must be >= 0, got {attempt}")
         return float(self.backoff_base**attempt)

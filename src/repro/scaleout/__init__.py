@@ -19,7 +19,6 @@ from repro.scaleout.ring import (
     DEFAULT_VNODES,
     HashRing,
     balanced_assignments,
-    moved_consumers,
 )
 from repro.scaleout.handoff import (
     HANDOFF_PHASES,
@@ -53,7 +52,6 @@ __all__ = [
     "merge_revisions",
     "merge_weekly_reports",
     "merged_signature",
-    "moved_consumers",
     "read_manifest",
     "report_signature",
     "write_manifest",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "HashRing",
     "balanced_assignments",
-    "moved_consumers",
 ]
 
 #: Virtual nodes per shard.  More points smooth the arc-length variance
@@ -190,24 +189,3 @@ def balanced_assignments(
         assign[donor].remove(moved)
         assign[target].append(moved)
     return {name: tuple(sorted(members)) for name, members in assign.items()}
-
-
-def moved_consumers(
-    before: Mapping[str, Sequence[str]],
-    after: Mapping[str, Sequence[str]],
-) -> tuple[str, ...]:
-    """Consumers whose owning shard differs between two assignments."""
-    old_owner = {
-        cid: name for name, members in before.items() for cid in members
-    }
-    new_owner = {
-        cid: name for name, members in after.items() for cid in members
-    }
-    if set(old_owner) != set(new_owner):
-        raise ConfigurationError(
-            "assignments cover different rosters; movement is only "
-            "defined for the same consumer set"
-        )
-    return tuple(
-        sorted(cid for cid, name in new_owner.items() if old_owner[cid] != name)
-    )

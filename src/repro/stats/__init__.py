@@ -16,16 +16,13 @@ from repro.stats.divergence import (
     js_divergence,
     kl_divergence,
     row_kl_divergences,
-    symmetric_kl_divergence,
 )
 from repro.stats.truncated_normal import TruncatedNormal, sample_truncated_normal
 from repro.stats.percentile import EmpiricalDistribution, percentile
-from repro.stats.running import RunningMoments
 
 __all__ = [
     "EmpiricalDistribution",
     "FixedEdgeHistogram",
-    "RunningMoments",
     "TruncatedNormal",
     "binned_counts",
     "histogram_edges",
@@ -35,5 +32,4 @@ __all__ = [
     "relative_frequencies",
     "row_kl_divergences",
     "sample_truncated_normal",
-    "symmetric_kl_divergence",
 ]

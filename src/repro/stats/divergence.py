@@ -94,11 +94,6 @@ def row_kl_divergences(
     return np.array([_kl_terms_sum(row, q) / log_base for row in matrix])
 
 
-def symmetric_kl_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
-    """Symmetrised KL divergence ``D(p||q) + D(q||p)``."""
-    return kl_divergence(p, q, base=base) + kl_divergence(q, p, base=base)
-
-
 def js_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
     """Jensen-Shannon divergence (bounded, symmetric alternative to KL).
 

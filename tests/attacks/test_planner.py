@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.classes import AttackClass
-from repro.attacks.planner import DefensePosture, best_attack, plan_attack
+from repro.attacks.planner import DefensePosture, plan_attack
 from repro.errors import ConfigurationError
 from repro.pricing.schemes import FlatRatePricing, TimeOfUsePricing
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
@@ -64,7 +64,7 @@ class TestRanking:
         """No band detector: 1B is limited only by conductor capacity —
         the paper's 'most severe' class."""
         posture = DefensePosture(balance_check=True)
-        plan = best_attack(week, TimeOfUsePricing(), posture)
+        plan = plan_attack(week, TimeOfUsePricing(), posture)[0]
         assert plan.attack_class is AttackClass.CLASS_1B
         assert plan.expected_weekly_gain_usd == float("inf")
 
@@ -83,7 +83,7 @@ class TestRanking:
             band_upper=upper,
             max_weekly_mean=float(week.mean()) * 1.05,
         )
-        loose_gain = best_attack(week, TimeOfUsePricing(), loose)
+        loose_gain = plan_attack(week, TimeOfUsePricing(), loose)[0]
         tight_plans = plan_attack(week, TimeOfUsePricing(), tight)
         tight_1b = next(
             p
@@ -114,11 +114,6 @@ class TestRanking:
         plans = plan_attack(week, TimeOfUsePricing(), posture)
         gains = [p.expected_weekly_gain_usd for p in plans]
         assert gains == sorted(gains, reverse=True)
-
-    def test_best_attack_raises_when_infeasible(self, week):
-        posture = DefensePosture(balance_check=True, has_neighbours=False)
-        with pytest.raises(ConfigurationError):
-            best_attack(week, TimeOfUsePricing(), posture)
 
     def test_rejects_wrong_week_length(self):
         with pytest.raises(ConfigurationError):

@@ -104,12 +104,24 @@ class TestRecoverMonitor:
 
 class TestDurableTheftMonitor:
     def test_sync_cadence_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            DurableTheftMonitor(
-                _service(),
-                WriteAheadLog(tmp_path / "wal"),
-                sync_every_cycles=0,
-            )
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            with pytest.raises(ConfigurationError):
+                DurableTheftMonitor(_service(), wal, sync_every_cycles=0)
+
+    def test_week_close_adds_no_empty_sync(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        calls = []
+        real_sync = wal.sync
+        wal.sync = lambda: calls.append(1) or real_sync()
+        with DurableTheftMonitor(
+            _service(), wal, checkpoint_path=tmp_path / "ckpt.bin"
+        ) as monitor:
+            for t in range(SLOTS_PER_WEEK + 1):
+                monitor.ingest_cycle(_readings(t))
+            # One sync per cycle at the default cadence: the week close
+            # found its cycle already durable and did not sync again.
+            assert monitor.service.weeks_completed == 1
+            assert len(calls) == wal.syncs == SLOTS_PER_WEEK + 1
 
     def test_rejects_skipped_ahead_cycles(self, tmp_path):
         with DurableTheftMonitor(
@@ -191,7 +203,11 @@ class TestCrashRecoveryEquivalence:
         )
         for t in range(crash_at):
             monitor.ingest_cycle(_readings(t))
-        del monitor  # hard kill: no close(), no final sync
+        # Hard kill: no close(), no final sync.  Closing the raw file
+        # under the buffer releases the descriptor without flushing a
+        # single buffered byte, as a dead process would.
+        monitor.wal._handle.raw.close()
+        del monitor
 
         result = recover_monitor(
             wal_dir,

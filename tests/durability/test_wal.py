@@ -15,6 +15,7 @@ from repro.durability.wal import (
 from repro.errors import ConfigurationError, WALCorruptionError, WALError
 from repro.observability.metrics import MetricsRegistry
 from repro.quarantine.firewall import MeterReading
+from repro.storage.io import StorageIO
 
 
 def _readings(t):
@@ -134,6 +135,60 @@ class TestRotation:
         assert "fdeta_wal_appends_total" in names
         assert "fdeta_wal_syncs_total" in names
         assert "fdeta_wal_rotations_total" in names
+
+
+class _CountingIO(StorageIO):
+    """The real filesystem, counting fsyncs."""
+
+    def __init__(self):
+        self.fsyncs = 0
+
+    def fsync(self, handle, *, site):
+        self.fsyncs += 1
+        super().fsync(handle, site=site)
+
+
+class TestEmptySync:
+    def test_second_sync_without_a_write_does_not_fsync(self, tmp_path):
+        io = _CountingIO()
+        with WriteAheadLog(tmp_path / "wal", io=io) as wal:
+            wal.append_cycle(0, _readings(0))
+            wal.sync()
+            assert (io.fsyncs, wal.syncs) == (1, 1)
+            wal.sync()
+            assert (io.fsyncs, wal.syncs) == (1, 1)
+            assert wal.last_synced_cycle == 0
+            wal.append_cycle(1, _readings(1))
+            wal.sync()
+            assert (io.fsyncs, wal.syncs) == (2, 2)
+        assert io.fsyncs == 2  # close() had nothing left to flush
+
+    def test_rotation_after_a_synced_append_fsyncs_once(self, tmp_path):
+        io = _CountingIO()
+        with WriteAheadLog(
+            tmp_path / "wal", segment_max_bytes=256, io=io
+        ) as wal:
+            calls = []
+            real_sync = wal.sync
+            wal.sync = lambda: calls.append(1) or real_sync()
+            t = 0
+            while wal.rotations == 0:
+                wal.append_cycle(t, _readings(t))
+                wal.sync()
+                t += 1
+            # Every append was synced on its own, so the rotation did not
+            # sync again: one sync and one fsync per append (the last
+            # one also covers the new segment's header).
+            assert len(calls) == io.fsyncs == wal.syncs == t
+        assert io.fsyncs == t
+        assert [r.cycle for r in replay_wal(tmp_path / "wal").cycles()] == (
+            list(range(t))
+        )
+
+    def test_close_fsyncs_a_fresh_segment_header(self, tmp_path):
+        io = _CountingIO()
+        WriteAheadLog(tmp_path / "wal", io=io).close()
+        assert io.fsyncs == 1
 
 
 class TestTornTail:

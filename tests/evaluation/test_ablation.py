@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.evaluation.ablation import (
     bin_count_sweep,
     divergence_sweep,
-    training_size_sweep,
 )
 
 
@@ -54,17 +53,3 @@ class TestDivergenceSweep:
     def test_kl_detects_majority(self, ablation_dataset, consumers):
         results = divergence_sweep(ablation_dataset, consumers)
         assert results["kl"].detection_rate >= 0.5
-
-
-class TestTrainingSizeSweep:
-    def test_points_for_feasible_sizes(self, ablation_dataset, consumers):
-        points = training_size_sweep(
-            ablation_dataset, consumers, training_weeks=(8, 30, 60)
-        )
-        assert [p.parameter for p in points] == [8.0, 30.0, 60.0]
-
-    def test_infeasible_sizes_skipped(self, ablation_dataset, consumers):
-        points = training_size_sweep(
-            ablation_dataset, consumers, training_weeks=(1000,)
-        )
-        assert points == []

@@ -12,10 +12,16 @@ from repro.grid.builder import (
 from repro.grid.investigation import (
     deepest_failure_investigation,
     exhaustive_inspection_cost,
-    run_case1,
     serviceman_search,
 )
 from repro.grid.snapshot import DemandSnapshot
+
+
+def run_case1(auditor, snapshot):
+    """Audit, then run the Case-1 investigation on the report."""
+    return deepest_failure_investigation(
+        auditor.topology, auditor.audit(snapshot)
+    )
 
 
 def theft_snapshot(topo, thief, under_report=2.0):

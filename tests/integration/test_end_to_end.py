@@ -14,7 +14,7 @@ from repro.data.consumers import ConsumerProfile, ConsumerType
 from repro.data.synthetic import generate_consumer_series
 from repro.grid.balance import BalanceAuditor
 from repro.grid.topology import RadialTopology
-from repro.metering.ami import AMINetwork, UtilityHeadEnd
+from repro.metering.ami import AMINetwork
 from repro.metering.errors_model import MeasurementErrorModel
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
@@ -51,12 +51,14 @@ def neighbourhood():
 class TestHonestOperation:
     def test_balance_holds_every_period(self, neighbourhood):
         topo, ami, series = neighbourhood
-        head = UtilityHeadEnd(ami=ami)
+        auditor = BalanceAuditor(topo, instrumented=(topo.root_id,))
         rng = np.random.default_rng(1)
+        residuals = []
         for t in range(100):
             demands = {cid: float(series[cid][t]) for cid in CONSUMERS}
-            head.poll(demands, rng)
-        assert np.allclose(head.root_balance_residuals(), 0.0, atol=1e-9)
+            report = auditor.audit(ami.snapshot(demands, rng))
+            residuals.append(report.checks[topo.root_id].discrepancy)
+        assert np.allclose(residuals, 0.0, atol=1e-9)
 
 
 class TestBalancedTheftEndToEnd:

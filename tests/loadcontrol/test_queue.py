@@ -1,17 +1,19 @@
 """Bounded queue, watermark hysteresis, and the backpressure signal."""
 
+import numpy as np
 import pytest
 
 from repro.core.online import TheftMonitoringService
 from repro.core.kld import KLDDetector
 from repro.errors import ConfigurationError, QueueDrainedError
-from repro.loadcontrol.config import LoadControlConfig
+from repro.loadcontrol.config import LoadControlConfig, ShedPolicy
 from repro.loadcontrol.queue import (
     BackpressureSignal,
     BoundedCycleQueue,
     BufferedIngestor,
 )
 from repro.observability.metrics import MetricsRegistry
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.config import ResilienceConfig
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
@@ -205,3 +207,50 @@ class TestBufferedIngestor:
         ingestor.submit(readings)
         ingestor.drain()
         assert ingestor.deadlines_overrun == 1
+
+
+class TestCheckpointWithRetiredAdmissionFields:
+    """Checkpoints pickle ``LoadControlConfig``; one written while it
+    still carried the head-end admission knobs must keep restoring."""
+
+    RETIRED = {
+        "admit_rate": 64.0,
+        "admit_burst": 128.0,
+        "min_admit_rate": 1.0,
+        "max_admit_rate": 4096.0,
+        "aimd_increase": 4.0,
+        "aimd_decrease": 0.5,
+        "max_defer_cycles": 8,
+    }
+
+    @staticmethod
+    def _readings(t):
+        rng = np.random.default_rng((29, t))
+        return {cid: float(rng.gamma(2.0, 0.5)) for cid in CONSUMERS}
+
+    def test_restores_and_keeps_ingesting(self, tmp_path):
+        config = LoadControlConfig(max_queue=8, shed_policy=ShedPolicy.PRIORITY)
+        # The pickled state of a config from before the fields were
+        # retired: its instance dict carried them alongside the rest.
+        for name, value in self.RETIRED.items():
+            object.__setattr__(config, name, value)
+        service = _service(loadcontrol=config)
+        for t in range(2 * SLOTS_PER_WEEK):
+            service.ingest_cycle(self._readings(t))
+        path = tmp_path / "monitor.ckpt"
+        save_checkpoint(service, path)
+        assert b"max_defer_cycles" in path.read_bytes()
+
+        restored = load_checkpoint(
+            path, detector_factory=lambda: KLDDetector(significance=0.05)
+        )
+        assert restored.loadcontrol == LoadControlConfig(
+            max_queue=8, shed_policy=ShedPolicy.PRIORITY
+        )
+        assert len(restored.reports) == 2
+        for t in range(2 * SLOTS_PER_WEEK, 4 * SLOTS_PER_WEEK):
+            restored.ingest_cycle(self._readings(t))
+        assert [r.week_index for r in restored.reports] == [0, 1, 2, 3]
+        # Trained on the restored weeks, the service scores everyone.
+        assert set(restored.reports[-1].coverage) == set(CONSUMERS)
+

@@ -1,14 +1,12 @@
-"""Unit tests for the AMI network and utility head-end."""
+"""Unit tests for the AMI network and the root balance check over it."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MeteringError
+from repro.grid.balance import BalanceAuditor
 from repro.grid.builder import build_figure2_topology
-from repro.metering.ami import AMINetwork, ResilientHeadEnd, UtilityHeadEnd
-from repro.metering.channel import LossyChannel
+from repro.metering.ami import AMINetwork
 from repro.metering.errors_model import MeasurementErrorModel
-from repro.resilience.retry import RetryPolicy
 
 
 @pytest.fixture
@@ -48,100 +46,31 @@ class TestAMINetwork:
         assert snap.losses["L1"] == 0.5
 
 
-class TestUtilityHeadEnd:
-    def test_poll_archives_readings(self, ami, rng):
-        head = UtilityHeadEnd(ami=ami)
-        for _ in range(3):
-            head.poll(demands(ami.topology), rng)
-        assert head.store.length("C1") == 3
-        assert len(head.root_measurements) == 3
+class TestRootBalance:
+    """The root balance check (eqs 4-6) over one AMI polling period."""
+
+    def audit_root(self, ami, snapshot):
+        auditor = BalanceAuditor(
+            ami.topology, instrumented=(ami.topology.root_id,)
+        )
+        return auditor.audit(snapshot).checks[ami.topology.root_id]
 
     def test_residuals_zero_when_honest(self, ami, rng):
-        head = UtilityHeadEnd(ami=ami)
         for _ in range(4):
-            head.poll(demands(ami.topology), rng)
-        assert np.allclose(head.root_balance_residuals(), 0.0)
+            snap = ami.snapshot(demands(ami.topology), rng)
+            check = self.audit_root(ami, snap)
+            assert check.discrepancy == pytest.approx(0.0)
+            assert not check.w_event
 
     def test_residuals_positive_under_theft(self, ami, rng):
         ami.meter("C3").compromise(lambda m: 0.0)
-        head = UtilityHeadEnd(ami=ami)
-        head.poll(demands(ami.topology), rng)
-        residuals = head.root_balance_residuals()
-        assert residuals[0] == pytest.approx(2.0)  # C3's 2 kW unaccounted
+        snap = ami.snapshot(demands(ami.topology), rng)
+        check = self.audit_root(ami, snap)
+        assert check.discrepancy == pytest.approx(2.0)  # C3's 2 kW unaccounted
+        assert check.w_event
 
     def test_residuals_account_for_losses(self, ami, rng):
-        head = UtilityHeadEnd(ami=ami)
-        head.poll(demands(ami.topology), rng, losses={"L1": 0.7})
-        assert head.root_balance_residuals()[0] == pytest.approx(0.0)
-
-    def test_residuals_require_a_poll(self, ami):
-        with pytest.raises(MeteringError):
-            UtilityHeadEnd(ami=ami).root_balance_residuals()
-
-    def test_consumer_count(self, ami):
-        assert UtilityHeadEnd(ami=ami).consumer_count() == 5
-
-
-class TestResilientHeadEnd:
-    def test_perfect_channel_full_delivery(self, ami, rng):
-        head = ResilientHeadEnd(
-            ami=ami, channel=LossyChannel(drop_rate=0.0, outage_rate=0.0)
-        )
-        result = head.poll(demands(ami.topology), rng)
-        assert result.missing == ()
-        assert result.retried == 0
-        assert result.delivery_ratio == 1.0
-        assert head.store.length("C1") == 1
-        assert head.gaps_recorded == 0
-
-    def test_retry_repairs_random_drops(self, ami, rng):
-        """With two retry attempts a 30% drop rate almost always heals."""
-        head = ResilientHeadEnd(
-            ami=ami,
-            channel=LossyChannel(drop_rate=0.3, outage_rate=0.0),
-            retry=RetryPolicy(max_attempts=3, cycle_budget=64),
-        )
-        cycles = 200
-        for _ in range(cycles):
-            head.poll(demands(ami.topology), rng)
-        assert head.retries_sent > 0
-        # Residual gap probability per reading is ~0.3**4 < 1%.
-        total_readings = cycles * head.ami.topology.consumers().__len__()
-        assert head.gaps_recorded / total_readings < 0.05
-        # Series stay slot-aligned regardless of losses.
-        for cid in ami.topology.consumers():
-            assert head.store.length(cid) == cycles
-
-    def test_outage_defeats_retry_and_records_gaps(self, ami, rng):
-        head = ResilientHeadEnd(
-            ami=ami, channel=LossyChannel(drop_rate=0.0, outage_rate=0.0)
-        )
-        head.channel.silence("C1", cycles=3)
-        result = head.poll(demands(ami.topology), rng)
-        assert result.missing == ("C1",)
-        assert head.store.gap_count("C1") == 1
-        assert head.store.gap_count("C2") == 0
-
-    def test_zero_retry_budget_records_raw_losses(self, ami, rng):
-        head = ResilientHeadEnd(
-            ami=ami,
-            channel=LossyChannel(drop_rate=0.5, outage_rate=0.0),
-            retry=RetryPolicy(max_attempts=0),
-        )
-        for _ in range(50):
-            head.poll(demands(ami.topology), rng)
-        assert head.retries_sent == 0
-        assert head.gaps_recorded > 0
-
-    def test_budget_limits_retry_batch(self, ami, rng):
-        """A tiny budget only re-polls as many meters as it can afford."""
-        head = ResilientHeadEnd(
-            ami=ami,
-            channel=LossyChannel(drop_rate=1.0, outage_rate=0.0),
-            retry=RetryPolicy(max_attempts=1, cycle_budget=2),
-        )
-        result = head.poll(demands(ami.topology), rng)
-        # Everything drops; only budget // cost = 2 re-polls were sent.
-        assert result.retried == 2
-        assert len(result.missing) == 5
-        assert result.delivery_ratio == 0.0
+        snap = ami.snapshot(demands(ami.topology), rng, losses={"L1": 0.7})
+        check = self.audit_root(ami, snap)
+        assert check.discrepancy == pytest.approx(0.0)
+        assert check.measured == pytest.approx(5 * 2.0 + 0.7)

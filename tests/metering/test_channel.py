@@ -8,7 +8,7 @@ import pytest
 
 from repro.data.preprocessing import interpolate_gaps
 from repro.errors import ConfigurationError
-from repro.metering.channel import LossyChannel, deliver_series
+from repro.metering.channel import LossyChannel
 
 
 class TestLossyChannel:
@@ -106,50 +106,16 @@ class TestChannelLifecycle:
         assert revived._outages == channel._outages
         assert revived.in_outage("a") and revived.in_outage("b")
 
-    def test_retransmit_does_not_tick_outage_timers(self, rng):
-        channel = LossyChannel(drop_rate=0.0, outage_rate=0.0)
-        channel.silence("m", cycles=2)
-        # Any number of within-cycle retries leaves the timer untouched.
-        for _ in range(50):
-            assert channel.retransmit({"m": 1.0}, rng) == {}
-        assert channel._outages["m"] == 2
-
-    def test_retransmit_cannot_start_outages(self, rng):
-        channel = LossyChannel(drop_rate=0.0, outage_rate=1.0)
-        assert channel.retransmit({"m": 1.0}, rng) == {"m": 1.0}
-        assert not channel.in_outage("m")
-
-    def test_retransmit_rerolls_drops(self, rng):
-        channel = LossyChannel(drop_rate=0.5, outage_rate=0.0)
-        recovered = 0
-        for _ in range(2000):
-            if "m" not in channel.transmit({"m": 1.0}, rng):
-                if "m" in channel.retransmit({"m": 1.0}, rng):
-                    recovered += 1
-        # Roughly drop_rate * (1 - drop_rate) of attempts recover.
-        assert recovered / 2000 == pytest.approx(0.25, abs=0.05)
-
 
 class TestDeliverSeries:
-    def test_losses_become_nan(self, rng):
-        channel = LossyChannel(drop_rate=0.3, outage_rate=0.0)
-        out = deliver_series(np.ones(1000), channel, rng)
-        n_missing = int(np.isnan(out).sum())
-        assert 200 <= n_missing <= 400
-
-    def test_survivors_unchanged(self, rng):
-        series = rng.uniform(0, 2, size=500)
-        channel = LossyChannel(drop_rate=0.1, outage_rate=0.0)
-        out = deliver_series(series, channel, rng)
-        mask = ~np.isnan(out)
-        assert np.array_equal(out[mask], series[mask])
-
     def test_end_to_end_with_preprocessing(self, rng):
         """Failure injection end-to-end: a mildly lossy channel's gaps
         are fully repaired by the preprocessing pipeline."""
         series = rng.uniform(0.5, 1.5, size=2000)
         channel = LossyChannel(drop_rate=0.02, outage_rate=0.0)
-        gappy = deliver_series(series, channel, rng)
+        gappy = np.full(series.size, np.nan)
+        for t, value in enumerate(series):
+            gappy[t] = channel.transmit({"m": value}, rng).get("m", np.nan)
         assert np.isnan(gappy).any()
         repaired = interpolate_gaps(gappy, max_gap=4)
         assert not np.isnan(repaired).any()

@@ -1,91 +1,14 @@
-"""Property-based tests on admission-control and queue invariants.
+"""Property-based tests on the bounded ingestion queue's invariants.
 
-The central promise of admission control is **bounded starvation**: no
-matter the arrival pattern, pressure pattern, or configuration, no
-consumer's defer streak ever reaches ``max_defer_cycles`` — the aging
-guarantee force-admits first.  Hypothesis hunts for arrival/pressure
-schedules that would break it.
+Whatever the offer/take pattern, the queue never holds more than its
+capacity and its ledger balances: every accepted cycle was either taken
+or is still queued.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.loadcontrol.admission import AdmissionController
-from repro.loadcontrol.config import LoadControlConfig
 from repro.loadcontrol.queue import BoundedCycleQueue
-
-consumer_ids = st.lists(
-    st.sampled_from([f"c{i}" for i in range(12)]),
-    min_size=0,
-    max_size=12,
-    unique=True,
-)
-
-configs = st.builds(
-    LoadControlConfig,
-    admit_rate=st.floats(min_value=0.5, max_value=8.0),
-    admit_burst=st.floats(min_value=1.0, max_value=16.0),
-    min_admit_rate=st.just(0.5),
-    max_admit_rate=st.just(64.0),
-    aimd_increase=st.floats(min_value=0.5, max_value=8.0),
-    aimd_decrease=st.floats(min_value=0.1, max_value=0.9),
-    max_defer_cycles=st.integers(min_value=1, max_value=6),
-)
-
-
-class TestAdmissionProperties:
-    @given(
-        config=configs,
-        schedule=st.lists(
-            st.tuples(consumer_ids, st.booleans()), min_size=1, max_size=60
-        ),
-    )
-    @settings(max_examples=80)
-    def test_no_consumer_ever_starves(self, config, schedule):
-        controller = AdmissionController(config)
-        for candidates, pressure in schedule:
-            controller.admit(candidates, pressure=pressure)
-            for cid in candidates:
-                assert (
-                    controller.defer_streak(cid) < config.max_defer_cycles
-                ), "defer streak reached the aging bound without bypass"
-
-    @given(
-        config=configs,
-        schedule=st.lists(
-            st.tuples(consumer_ids, st.booleans()), min_size=1, max_size=60
-        ),
-    )
-    @settings(max_examples=60)
-    def test_decision_partitions_candidates(self, config, schedule):
-        controller = AdmissionController(config)
-        for candidates, pressure in schedule:
-            decision = controller.admit(candidates, pressure=pressure)
-            assert sorted(decision.admitted + decision.deferred) == sorted(
-                candidates
-            )
-            assert set(decision.bypassed) <= set(decision.admitted)
-
-    @given(
-        config=configs,
-        schedule=st.lists(
-            st.tuples(consumer_ids, st.booleans()), min_size=1, max_size=60
-        ),
-    )
-    @settings(max_examples=60)
-    def test_totals_reconcile_and_rate_stays_bounded(self, config, schedule):
-        controller = AdmissionController(config)
-        offered = 0
-        for candidates, pressure in schedule:
-            controller.admit(candidates, pressure=pressure)
-            offered += len(candidates)
-            assert (
-                config.min_admit_rate
-                <= controller.aimd.rate
-                <= config.max_admit_rate
-            )
-        assert controller.admitted_total + controller.deferred_total == offered
-        assert controller.bypassed_total <= controller.admitted_total
 
 
 class TestQueueProperties:

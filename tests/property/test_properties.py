@@ -9,7 +9,6 @@ from repro.pricing.billing import attacker_profit, neighbour_loss, stolen_energy
 from repro.pricing.schemes import FlatRatePricing
 from repro.stats.divergence import js_divergence, kl_divergence
 from repro.stats.histogram import FixedEdgeHistogram
-from repro.stats.running import RunningMoments
 from repro.timeseries.differencing import difference, undifference
 
 finite_floats = st.floats(
@@ -163,40 +162,3 @@ class TestDifferencingProperties:
         diffed = difference(series, order)
         restored = undifference(diffed, heads=series[:order], order=order)
         assert np.allclose(restored, series[order:], atol=1e-6)
-
-
-class TestRunningMomentsProperties:
-    @given(
-        values=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=1, max_value=80),
-            elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
-        )
-    )
-    def test_matches_numpy_for_any_input(self, values):
-        moments = RunningMoments()
-        moments.update_many(values)
-        assert np.isclose(moments.mean, values.mean(), atol=1e-6)
-        assert np.isclose(moments.variance, values.var(), atol=1e-4, rtol=1e-4)
-
-    @given(
-        a=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=1, max_value=30),
-            elements=st.floats(min_value=-100, max_value=100, allow_nan=False),
-        ),
-        b=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=1, max_value=30),
-            elements=st.floats(min_value=-100, max_value=100, allow_nan=False),
-        ),
-    )
-    def test_merge_associative_with_concat(self, a, b):
-        left = RunningMoments()
-        left.update_many(a)
-        right = RunningMoments()
-        right.update_many(b)
-        merged = left.merge(right)
-        combined = np.concatenate([a, b])
-        assert np.isclose(merged.mean, combined.mean(), atol=1e-6)
-        assert np.isclose(merged.variance, combined.var(), atol=1e-4, rtol=1e-4)

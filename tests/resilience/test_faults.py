@@ -127,8 +127,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=-1)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(cycle_budget=-1)
-        with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_base=0.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy().attempt_cost(-1)
