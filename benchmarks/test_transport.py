@@ -24,9 +24,9 @@ from repro.timeseries.seasonal import SLOTS_PER_WEEK
 from repro.transport import (
     FaultyTransport,
     InProcTransport,
-    NetworkFaultSchedule,
     ShardClient,
     ShardEndpoint,
+    parse_network_faults,
 )
 
 from benchmarks.conftest import BENCH_CONSUMERS, BenchTimer, record_bench
@@ -160,7 +160,7 @@ def test_retry_storm_latency():
         f"shard-0000:ingest@{at}={'drop' if i % 2 else 'garble'}"
         for i, at in enumerate(range(20, _CYCLES, 20))
     )
-    schedule = NetworkFaultSchedule.parse(spec)
+    schedule = parse_network_faults(spec)
     storm_seconds = _drive(FaultyTransport(schedule))
     assert schedule.exhausted
 
@@ -192,7 +192,7 @@ def test_partition_heal_recovery(tmp_path):
     cycles = 2 * SLOTS_PER_WEEK
     sever_at = SLOTS_PER_WEEK  # one full week buffered on the far side
     transport = FaultyTransport(
-        NetworkFaultSchedule.parse(f"shard-0000:ingest@{sever_at}=partition")
+        parse_network_faults(f"shard-0000:ingest@{sever_at}=partition")
     )
     with ElasticFleet(
         CONSUMERS,

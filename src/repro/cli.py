@@ -820,16 +820,15 @@ def _monitor_command(args: argparse.Namespace) -> int:
     print(f"total alerts: {total_alerts}")
     print(f"suspected attackers: {list(attackers) or 'none'}")
     print(f"suspected victims:   {list(victims) or 'none'}")
-    if service.firewall is not None:
-        print(f"quarantined readings: {len(service.firewall.store)}")
-        if args.quarantine_report:
-            _safe_export(
-                "quarantine report",
-                args.quarantine_report,
-                lambda: service.firewall.store.write_report(
-                    args.quarantine_report
-                ),
-            )
+    print(f"quarantined readings: {len(service.firewall.store)}")
+    if args.quarantine_report:
+        _safe_export(
+            "quarantine report",
+            args.quarantine_report,
+            lambda: service.firewall.store.write_report(
+                args.quarantine_report
+            ),
+        )
     if service.model_registry is not None:
         registry = service.model_registry
         active = registry.active_version
@@ -1167,13 +1166,13 @@ def _run_monitor_fleet(
     from repro.observability.metrics import MetricsRegistry
     from repro.scaleout import ElasticFleet
     from repro.timeseries.seasonal import SLOTS_PER_WEEK
-    from repro.transport import FaultyTransport, NetworkFaultSchedule
+    from repro.transport import FaultyTransport, parse_network_faults
 
     transport = None
     net_schedule = None
     if args.network_faults:
         try:
-            net_schedule = NetworkFaultSchedule.parse(
+            net_schedule = parse_network_faults(
                 ",".join(args.network_faults)
             )
         except ConfigurationError as exc:
@@ -1337,9 +1336,7 @@ def _run_monitor_fleet(
         print(f"suspected attackers: {attackers or 'none'}")
         print(f"suspected victims:   {victims or 'none'}")
         quarantined_readings = sum(
-            len(svc.firewall.store)
-            for svc in services.values()
-            if svc.firewall is not None
+            len(svc.firewall.store) for svc in services.values()
         )
         print(f"quarantined readings: {quarantined_readings}")
         print(f"fleet restarts: {fleet.restarts_total}")

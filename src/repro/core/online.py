@@ -8,20 +8,17 @@ per-consumer detectors once enough history has accumulated, re-assesses
 every completed week, periodically retrains, and fuses the balance-check
 signal with the data-driven assessments into actionable alerts.
 
-The service runs in one of two ingestion modes:
-
-* **strict** (default): every polling cycle must carry exactly the
-  fixed population; any mismatch raises.  Right for clean replays and
-  evaluation harnesses.
-* **gap-tolerant**: constructed with a
-  :class:`~repro.resilience.config.ResilienceConfig`, the service
-  accepts partial cycles.  Missing or invalid readings become NaN gap
-  markers (keeping every series slot-aligned), a per-consumer circuit
-  breaker quarantines meters that go silent or keep failing validation,
-  short gaps are repaired by interpolation at week boundaries, and weeks
-  with residual gaps are scored in degraded mode with the assessment
-  carrying a ``coverage`` fraction — alerts are suppressed below the
-  configured minimum coverage.
+Ingestion has one path.  Every polling cycle is screened by a
+:class:`~repro.quarantine.firewall.ReadingFirewall`, and the service
+accepts partial cycles: a missing or quarantined reading becomes a NaN
+gap marker (keeping every series slot-aligned), a per-consumer circuit
+breaker quarantines meters that go silent or keep failing the firewall,
+short gaps are repaired by interpolation at week boundaries, and weeks
+with residual gaps are scored in degraded mode with the assessment
+carrying a ``coverage`` fraction — alerts are suppressed below the
+configured minimum coverage
+(:class:`~repro.resilience.config.ResilienceConfig`).  A clean cycle
+that carries the whole population is simply the zero-gap case.
 
 The full service state can be checkpointed to disk and restored in a
 fresh process (see :mod:`repro.resilience.checkpoint`), resuming
@@ -66,7 +63,7 @@ from repro.resilience.circuit import BreakerBoard, BreakerState
 from repro.resilience.config import ResilienceConfig
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
-#: How many consumer ids a population-mismatch error spells out.
+#: How many consumer ids an unknown-consumer error spells out.
 _MISMATCH_IDS_SHOWN = 10
 
 #: Alert severity (score / threshold) bands used as a metric label, so
@@ -122,7 +119,6 @@ class TheftAlert:
 class MonitoringReport:
     """Summary of one completed week of monitoring.
 
-    The resilience fields are only populated in gap-tolerant mode:
     ``coverage`` maps each scored consumer to the observed fraction of
     its week, ``suppressed`` lists consumers whose coverage fell below
     the configured minimum (recorded, never alerted), and
@@ -168,15 +164,15 @@ class TheftMonitoringService:
         Optional balance auditor; when provided, the last snapshot of
         each week is audited and the result fused into the alerts.
     resilience:
-        When provided, switches ingestion to gap-tolerant mode (see the
-        module docstring).  In degraded mode the detector must support
-        partial weeks (e.g. :class:`~repro.core.kld.KLDDetector`);
-        detectors that do not are simply skipped on gappy weeks.
+        Gap-tolerance knobs (see the module docstring);
+        ``ResilienceConfig()`` when omitted.  In degraded mode the
+        detector must support partial weeks (e.g.
+        :class:`~repro.core.kld.KLDDetector`); detectors that do not
+        are simply skipped on gappy weeks.
     population:
         Optional fleet declaration.  When omitted, the first ingested
-        cycle fixes the population — in gap-tolerant mode that first
-        cycle may itself be partial, so head-ends that know their fleet
-        should declare it.
+        cycle fixes the population — that first cycle may itself be
+        partial, so head-ends that know their fleet should declare it.
     metrics:
         Registry receiving the service's counters, gauges, and latency
         histograms (a fresh one is created when omitted).  The registry
@@ -190,21 +186,19 @@ class TheftMonitoringService:
         Optional span tracer; weekly processing, training, assessment,
         and audits become nested spans.  Checkpointed with the service.
     firewall:
-        Optional reading-integrity firewall.  Every polling cycle is
-        screened before ingestion: malformed readings (NaN/inf,
-        negative, out-of-range, duplicate slots, clock skew, DST folds)
-        are quarantined with a reason code and become NaN gaps — they
-        count against the consumer's circuit breaker but never reach
-        detector ``fit``/``score``.  Requires gap-tolerant mode
-        (``resilience``), because rejects must become gaps rather than
-        population mismatches.  Checkpointed with the service, so the
-        quarantine evidence survives ``--resume``/``--recover``.
+        Reading-integrity firewall; ``ReadingFirewall()`` when omitted.
+        Every polling cycle is screened before ingestion: malformed
+        readings (NaN/inf, negative, out-of-range, duplicate slots,
+        clock skew, DST folds) are quarantined with a reason code and
+        become NaN gaps — they count against the consumer's circuit
+        breaker but never reach detector ``fit``/``score``.
+        Checkpointed with the service, so the quarantine evidence
+        survives ``--resume``/``--recover``.
     loadcontrol:
         Overload-control settings (see
-        :class:`~repro.loadcontrol.config.LoadControlConfig`).  A
-        non-``off`` shed policy requires gap-tolerant mode: a shed
-        consumer-week degrades to a coverage-counted gap, which only
-        exists there.  The service reads pressure from
+        :class:`~repro.loadcontrol.config.LoadControlConfig`).  A shed
+        consumer-week degrades to a coverage-counted gap.  The service
+        reads pressure from
         :attr:`backpressure` (attach a
         :class:`~repro.loadcontrol.queue.BackpressureSignal`, e.g. via
         :class:`~repro.loadcontrol.queue.BufferedIngestor`) and sheds
@@ -226,8 +220,8 @@ class TheftMonitoringService:
         poison — or launder — the training data.  In this mode weekly
         gap repair does not write interpolated values back to the
         store: a repaired slot must stay a gap so a late true reading
-        can still land in it.  Requires ``resilience`` and
-        ``firewall``.
+        can still land in it, and a too-late arrival lands in the
+        firewall's quarantine.
     """
 
     def __init__(
@@ -247,29 +241,6 @@ class TheftMonitoringService:
         integrity: "IntegrityConfig | None" = None,
         training_window_weeks: int | None = None,
     ) -> None:
-        if eventtime is not None and (resilience is None or firewall is None):
-            raise ConfigurationError(
-                "event-time mode requires gap-tolerant ingestion and a "
-                "reading firewall: released slots with absent readings "
-                "become gaps, and too-late arrivals need a quarantine "
-                "to land in"
-            )
-        if firewall is not None and resilience is None:
-            raise ConfigurationError(
-                "the reading firewall requires gap-tolerant mode "
-                "(pass a ResilienceConfig): quarantined readings must "
-                "become gaps, not population mismatches"
-            )
-        if (
-            loadcontrol is not None
-            and loadcontrol.shed_policy is not ShedPolicy.OFF
-            and resilience is None
-        ):
-            raise ConfigurationError(
-                "load shedding requires gap-tolerant mode (pass a "
-                "ResilienceConfig): a shed consumer-week must degrade "
-                "to a coverage-counted gap"
-            )
         if min_training_weeks < 2:
             raise ConfigurationError(
                 f"min_training_weeks must be >= 2, got {min_training_weeks}"
@@ -300,7 +271,9 @@ class TheftMonitoringService:
             else None
         )
         self.auditor = auditor
-        self.resilience = resilience
+        self.resilience = (
+            resilience if resilience is not None else ResilienceConfig()
+        )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events
         self.tracer = tracer
@@ -310,7 +283,7 @@ class TheftMonitoringService:
         #: constructor argument: profilers are run-scoped diagnostics
         #: and never ride checkpoints.
         self.profiler = None
-        self.firewall = firewall
+        self.firewall = firewall if firewall is not None else ReadingFirewall()
         self.loadcontrol = loadcontrol
         self.eventtime = eventtime
         #: Training-integrity defenses (``repro.integrity``): drift
@@ -371,13 +344,11 @@ class TheftMonitoringService:
         self._last_snapshot: DemandSnapshot | None = None
         self._population: frozenset[str] | None = None
         self._roster: tuple[str, ...] = ()
-        self._breakers: BreakerBoard | None = None
-        if resilience is not None:
-            self._breakers = BreakerBoard(
-                failure_threshold=resilience.failure_threshold,
-                cooldown_cycles=resilience.cooldown_cycles,
-                recovery_probes=resilience.recovery_probes,
-            )
+        self._breakers = BreakerBoard(
+            failure_threshold=self.resilience.failure_threshold,
+            cooldown_cycles=self.resilience.cooldown_cycles,
+            recovery_probes=self.resilience.recovery_probes,
+        )
         if population is not None:
             self._set_population(population)
         self.reports: list[MonitoringReport] = []
@@ -398,11 +369,6 @@ class TheftMonitoringService:
     def cycles_ingested(self) -> int:
         """Polling cycles ingested so far — the next expected cycle index."""
         return self._slot_count
-
-    @property
-    def gap_tolerant(self) -> bool:
-        """Whether the service accepts partial polling cycles."""
-        return self.resilience is not None
 
     def _set_population(self, consumers: Iterable[str]) -> None:
         roster = tuple(sorted(consumers))
@@ -454,42 +420,30 @@ class TheftMonitoringService:
         scoring pass consults it between consumers and (with a shedding
         policy configured) sheds the unscored remainder.
 
-        In strict mode (no resilience config) a cycle whose population
-        differs from the fixed one is rejected: a missing consumer would
-        silently desynchronise that consumer's series (every later
-        reading shifted one slot), so the AMI layer must repair gaps
-        before handing cycles to the service.  In gap-tolerant mode the
-        service performs that repair itself: missing/invalid readings
-        are recorded as NaN gap markers and the circuit breaker decides
-        when a consumer has failed enough to be quarantined.
-
-        With a ``firewall`` the cycle is screened first: readings may be
+        The cycle is screened by the firewall first: readings may be
         plain floats or :class:`~repro.quarantine.firewall.MeterReading`
-        stamps, and every reject becomes a gap for that consumer.
+        stamps.  A consumer that is missing from the cycle, or whose
+        reading the firewall quarantined, gets a NaN gap marker (so
+        every later reading still lands in its true slot), and its
+        circuit breaker decides when it has failed enough to be
+        quarantined.  An empty cycle (every meter silent at once)
+        records a gap for the whole roster.  A consumer outside the
+        population raises.
         """
-        if not reported and self.resilience is None:
-            # In gap-tolerant mode an empty cycle is a legitimate
-            # worst case (every meter silent at once) and records a
-            # gap for the whole roster instead of raising.
-            raise DataError("polling cycle carried no readings")
         started = perf_counter()
         if deadline is None:
             deadline = Deadline.unlimited(metrics=self.metrics)
         if self._population is None:
             self._set_population(reported)
-        if self.firewall is not None:
-            with self._profile("firewall"), deadline.stage("firewall"):
-                reported = self.firewall.screen(
-                    reported,
-                    cycle=self._slot_count,
-                    metrics=self.metrics,
-                    events=self.events,
-                )
+        with self._profile("firewall"), deadline.stage("firewall"):
+            reported = self.firewall.screen(
+                reported,
+                cycle=self._slot_count,
+                metrics=self.metrics,
+                events=self.events,
+            )
         with self._profile("ingest"), deadline.stage("ingest"):
-            if self.resilience is None:
-                self._ingest_strict(reported)
-            else:
-                self._ingest_tolerant(reported)
+            self._ingest(reported)
         self._slot_count += 1
         self._last_snapshot = snapshot
         report: MonitoringReport | None = None
@@ -511,30 +465,22 @@ class TheftMonitoringService:
         ).observe(perf_counter() - started)
         return report
 
-    def _ingest_strict(self, reported: Mapping[str, float]) -> None:
-        cycle_population = frozenset(reported)
-        if cycle_population != self._population:
-            missing = self._population - cycle_population
-            extra = cycle_population - self._population
-            raise DataError(
-                "polling cycle population mismatch: "
-                f"missing {_abbreviate_ids(missing)}, "
-                f"unexpected {_abbreviate_ids(extra)}"
-            )
-        for cid, value in reported.items():
-            self.store.append(cid, float(value))
+    def _ingest(self, screened: Mapping[str, float]) -> None:
+        """Append one screened cycle in roster order.
 
-    def _ingest_tolerant(self, reported: Mapping[str, float]) -> None:
-        unknown = frozenset(reported) - self._population
+        Every value in ``screened`` passed the firewall, so it is
+        already finite, non-negative and in range; an absent consumer
+        is a gap.
+        """
+        unknown = screened.keys() - self._population
         if unknown:
             raise DataError(
                 "polling cycle carried unknown consumers: "
                 f"{_abbreviate_ids(unknown)}"
             )
-        assert self._breakers is not None
         readings = self.metrics.counter(
             "fdeta_readings_total",
-            "Readings ingested in gap-tolerant mode, by outcome.",
+            "Readings ingested, by outcome.",
             labels=("status",),
         )
         transitions = self.metrics.counter(
@@ -542,20 +488,19 @@ class TheftMonitoringService:
             "Circuit-breaker state transitions.",
             labels=("from_state", "to_state"),
         )
+        store, breakers = self.store, self._breakers
+        gaps = 0
         for cid in self._roster:
-            value = reported.get(cid)
-            valid = (
-                value is not None
-                and math.isfinite(float(value))
-                and float(value) >= 0.0
-            )
+            value = screened.get(cid)
+            valid = value is not None
             if valid:
-                self.store.append(cid, float(value))
+                store.append(cid, value)
             else:
-                self.store.append_gap(cid)
-            readings.inc(status="ok" if valid else "gap")
-            before = self._breakers.state(cid)
-            after = self._breakers.record(cid, valid)
+                store.append_gap(cid)
+                gaps += 1
+            breaker = breakers.breaker(cid)
+            before = breaker.state
+            after = breaker.record(valid)
             if after is not before:
                 transitions.inc(
                     from_state=before.value, to_state=after.value
@@ -568,6 +513,10 @@ class TheftMonitoringService:
                     to_state=after.value,
                     cycle=self._slot_count,
                 )
+        if gaps < len(self._roster):
+            readings.inc(len(self._roster) - gaps, status="ok")
+        if gaps:
+            readings.inc(gaps, status="gap")
 
     # ------------------------------------------------------------------
     # Week boundary processing
@@ -631,22 +580,19 @@ class TheftMonitoringService:
                 cusum_high=round(verdict.cusum_high, 3),
                 reasons="; ".join(verdict.reasons),
             )
-            if self.firewall is not None:
-                # The evidence locker: the whole week lands in the
-                # quarantine report as one POISON_SUSPECT record whose
-                # value is the week's mean reading.
-                self.firewall.store.add(
-                    QuarantinedReading(
-                        consumer_id=consumer_id,
-                        value=float(
-                            matrix[weeks.index(verdict.week)].mean()
-                        ),
-                        cycle=self._slot_count,
-                        reason=QuarantineReason.POISON_SUSPECT,
-                        declared_slot=verdict.week,
-                        detail="; ".join(verdict.reasons),
-                    )
+            # The evidence locker: the whole week lands in the
+            # quarantine report as one POISON_SUSPECT record whose
+            # value is the week's mean reading.
+            self.firewall.store.add(
+                QuarantinedReading(
+                    consumer_id=consumer_id,
+                    value=float(matrix[weeks.index(verdict.week)].mean()),
+                    cycle=self._slot_count,
+                    reason=QuarantineReason.POISON_SUSPECT,
+                    declared_slot=verdict.week,
+                    detail="; ".join(verdict.reasons),
                 )
+            )
         kept = set(result.kept_weeks)
         rows = [i for i, week in enumerate(weeks) if week in kept]
         return matrix[rows], [weeks[i] for i in rows]
@@ -671,13 +617,9 @@ class TheftMonitoringService:
                     matrix = matrix[-self.training_window_weeks :]
                     weeks = weeks[-self.training_window_weeks :]
                 if matrix.shape[0] < 2:
-                    if self.resilience is None:
-                        raise DataError(
-                            f"{cid!r} has too few clean weeks to train on"
-                        )
-                    # Gap-tolerant mode: a consumer without enough clean
-                    # history is skipped this round and picked up at a
-                    # later retraining once its record recovers.
+                    # A consumer without enough clean history is skipped
+                    # this round and picked up at a later retraining
+                    # once its record recovers.
                     continue
                 matrices[cid] = matrix
                 lineage[cid] = tuple(weeks)
@@ -927,15 +869,11 @@ class TheftMonitoringService:
             # history, not candidates: nothing is assessed.
             if self._weeks_completed >= self.min_training_weeks:
                 self._train()
-            if self.resilience is not None:
-                self._annotate_untrained_week(report, week_index)
+            self._annotate_untrained_week(report, week_index)
             self.reports.append(report)
             return report
         with self._span("assess", week=week_index):
-            if self.resilience is None:
-                self._assess_week_strict(report, week_index)
-            else:
-                self._assess_week_tolerant(report, week_index, deadline)
+            self._assess_week(report, week_index, deadline)
         if self.eventtime is not None:
             # Pin the framework that scored this week (a retrain below
             # replaces self._framework wholesale, so holding the
@@ -990,38 +928,36 @@ class TheftMonitoringService:
                 "fdeta_balance_failures_total",
                 "Nodes failing the weekly balance audit.",
             ).inc(len(report.balance_failures))
-        if self.resilience is not None:
-            if report.degraded:
-                metrics.counter(
-                    "fdeta_degraded_weeks_total",
-                    "Weeks scored with at least one partially-observed "
-                    "consumer.",
-                ).inc()
-            coverage = metrics.histogram(
-                "fdeta_week_coverage_fraction",
-                "Per-consumer observed fraction of each scored week.",
-                buckets=FRACTION_BUCKETS,
-            )
-            for fraction in report.coverage.values():
-                coverage.observe(fraction)
-            if report.suppressed:
-                metrics.counter(
-                    "fdeta_suppressed_consumer_weeks_total",
-                    "Consumer-weeks suppressed for insufficient coverage.",
-                ).inc(len(report.suppressed))
-            if report.quarantined:
-                metrics.counter(
-                    "fdeta_quarantined_consumer_weeks_total",
-                    "Consumer-weeks skipped because the breaker was open.",
-                ).inc(len(report.quarantined))
-            assert self._breakers is not None
-            states = metrics.gauge(
-                "fdeta_breaker_state_consumers",
-                "Consumers currently in each circuit-breaker state.",
-                labels=("state",),
-            )
-            for state, count in self._breakers.state_counts().items():
-                states.set(count, state=state.value)
+        if report.degraded:
+            metrics.counter(
+                "fdeta_degraded_weeks_total",
+                "Weeks scored with at least one partially-observed "
+                "consumer.",
+            ).inc()
+        coverage = metrics.histogram(
+            "fdeta_week_coverage_fraction",
+            "Per-consumer observed fraction of each scored week.",
+            buckets=FRACTION_BUCKETS,
+        )
+        for fraction in report.coverage.values():
+            coverage.observe(fraction)
+        if report.suppressed:
+            metrics.counter(
+                "fdeta_suppressed_consumer_weeks_total",
+                "Consumer-weeks suppressed for insufficient coverage.",
+            ).inc(len(report.suppressed))
+        if report.quarantined:
+            metrics.counter(
+                "fdeta_quarantined_consumer_weeks_total",
+                "Consumer-weeks skipped because the breaker was open.",
+            ).inc(len(report.quarantined))
+        states = metrics.gauge(
+            "fdeta_breaker_state_consumers",
+            "Consumers currently in each circuit-breaker state.",
+            labels=("state",),
+        )
+        for state, count in self._breakers.state_counts().items():
+            states.set(count, state=state.value)
         self._emit(
             "info",
             "week_completed",
@@ -1038,7 +974,6 @@ class TheftMonitoringService:
         self, report: MonitoringReport, week_index: int
     ) -> None:
         """Record coverage/quarantine even before detectors exist."""
-        assert self._breakers is not None
         quarantined = []
         for cid in self._roster:
             if not self._breakers.allows_scoring(cid):
@@ -1050,8 +985,7 @@ class TheftMonitoringService:
 
     def _repaired_week(self, consumer_id: str, week_index: int) -> np.ndarray:
         """One consumer's week, with short gaps repaired in place."""
-        assert self.resilience is not None
-        week = self.store.week_matrix(consumer_id)[week_index]
+        week =self.store.week_matrix(consumer_id)[week_index]
         isnan = np.isnan(week)
         if isnan.any() and not isnan.all() and self.resilience.max_repair_gap > 0:
             week = interpolate_gaps(
@@ -1086,42 +1020,21 @@ class TheftMonitoringService:
             assessment.consumer_id, set()
         ).add(week_index)
 
-    def _assess_week_strict(
-        self, report: MonitoringReport, week_index: int
-    ) -> None:
-        assert self._framework is not None
-        balance_failed = bool(report.balance_failures)
-        for cid in self.store.consumers():
-            week = self.store.week_matrix(cid)[week_index]
-            assessment = self._framework.assess_week(
-                cid, week, week_index=week_index
-            )
-            if assessment.result.flagged:
-                self._emit_alert(report, week_index, assessment, balance_failed)
-
     def _shed_tiers(self) -> dict[str, ShedTier]:
         """Triage the roster into scoring-priority tiers (see
         :mod:`repro.loadcontrol.shedding`): evidence of trouble —
         alert history, breaker trips, or firewalled readings — must
         never be what gets shed first."""
-        quarantine_counts: Mapping[str, int] = {}
-        if self.firewall is not None:
-            quarantine_counts = self.firewall.store.counts_by_consumer()
+        quarantine_counts = self.firewall.store.counts_by_consumer()
         tiers: dict[str, ShedTier] = {}
         for cid in self._roster:
             if (
                 self._quarantined_weeks.get(cid)
                 or quarantine_counts.get(cid)
-                or (
-                    self._breakers is not None
-                    and self._breakers.trip_count(cid) > 0
-                )
+                or self._breakers.trip_count(cid) > 0
             ):
                 tiers[cid] = ShedTier.SUSPECT
-            elif (
-                self._breakers is not None
-                and self._breakers.state(cid) is not BreakerState.CLOSED
-            ):
+            elif self._breakers.state(cid) is not BreakerState.CLOSED:
                 tiers[cid] = ShedTier.WATCH
             else:
                 tiers[cid] = ShedTier.HEALTHY
@@ -1163,7 +1076,6 @@ class TheftMonitoringService:
         detector rejected); a ``(None, False)`` return means there is
         simply no verdict to give (no detector trained yet).
         """
-        assert self.resilience is not None
         if coverage < self.resilience.min_coverage:
             # Too little signal: record, never alert — a mostly
             # silenced link must not produce confident verdicts.
@@ -1201,15 +1113,13 @@ class TheftMonitoringService:
             return None, True
         return assessment, False
 
-    def _assess_week_tolerant(
+    def _assess_week(
         self,
         report: MonitoringReport,
         week_index: int,
         deadline: Deadline | None = None,
     ) -> None:
         assert self._framework is not None
-        assert self._breakers is not None
-        assert self.resilience is not None
         balance_failed = bool(report.balance_failures)
         suppressed = []
         quarantined = []
@@ -1349,7 +1259,7 @@ class TheftMonitoringService:
         self, consumer_id: str, week_index: int, outcomes
     ) -> VerdictRevision | None:
         """Re-run one consumer's weekly verdict after a late write."""
-        assert self.eventtime is not None and self.resilience is not None
+        assert self.eventtime is not None
         report = self.reports[week_index]
         if consumer_id in report.quarantined:
             # The breaker was open at the boundary: the week was never
@@ -1546,11 +1456,7 @@ class TheftMonitoringService:
         framework = self._framework
         return {
             "series": list(self.store._series.get(consumer_id, ())),
-            "breaker": (
-                self._breakers.breakers.get(consumer_id)
-                if self._breakers is not None
-                else None
-            ),
+            "breaker": self._breakers.breakers.get(consumer_id),
             "quarantined_weeks": set(
                 self._quarantined_weeks.get(consumer_id, ())
             ),
@@ -1586,8 +1492,7 @@ class TheftMonitoringService:
         self._population = frozenset(remaining)
         self._roster = remaining
         self.store._series.pop(consumer_id, None)
-        if self._breakers is not None:
-            self._breakers.breakers.pop(consumer_id, None)
+        self._breakers.breakers.pop(consumer_id, None)
         self._quarantined_weeks.pop(consumer_id, None)
         self._suspect_weeks.pop(consumer_id, None)
         self._canary_reference.pop(consumer_id, None)
@@ -1627,12 +1532,6 @@ class TheftMonitoringService:
         self.store._series[consumer_id] = series
         breaker = packet.get("breaker")
         if breaker is not None:
-            if self._breakers is None:
-                raise ConfigurationError(
-                    "packet carries a circuit breaker but this shard is "
-                    "not gap-tolerant; source and destination must run "
-                    "the same ingestion mode"
-                )
             self._breakers.breakers[consumer_id] = breaker
         quarantined = set(packet.get("quarantined_weeks", ()))
         if quarantined:
@@ -1825,6 +1724,8 @@ class TheftMonitoringService:
         service._population = state["population"]
         service._roster = state["roster"]
         service.reports = list(state["reports"])
+        # A strict-mode checkpoint (written before ingestion had one path)
+        # carries no breakers; it keeps the fresh board built above.
         if state["breakers"] is not None:
             service._breakers = state["breakers"]
         service._last_snapshot = state["last_snapshot"]
@@ -1845,18 +1746,11 @@ class TheftMonitoringService:
     # ------------------------------------------------------------------
 
     def breaker_state(self, consumer_id: str) -> BreakerState:
-        """Current circuit-breaker state for one consumer.
-
-        Always ``CLOSED`` in strict mode (there are no breakers to trip).
-        """
-        if self._breakers is None:
-            return BreakerState.CLOSED
+        """Current circuit-breaker state for one consumer."""
         return self._breakers.state(consumer_id)
 
     def quarantined_consumers(self) -> tuple[str, ...]:
         """Consumers whose circuit breaker is currently not closed."""
-        if self._breakers is None:
-            return ()
         return self._breakers.quarantined()
 
     def alerts_for(self, consumer_id: str) -> tuple[TheftAlert, ...]:

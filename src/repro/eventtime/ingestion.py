@@ -97,10 +97,9 @@ class EventTimeIngestor:
     ----------
     service:
         A :class:`~repro.core.online.TheftMonitoringService` constructed
-        with ``eventtime`` (and therefore ``resilience`` + ``firewall``)
-        and a *declared* population — the reorder buffer releases slots
-        the fleet never fully reported, so the roster cannot be inferred
-        from a first cycle.
+        with ``eventtime`` and a *declared* population — the reorder
+        buffer releases slots the fleet never fully reported, so the
+        roster cannot be inferred from a first cycle.
     wal:
         Optional :class:`~repro.durability.wal.WriteAheadLog`; delivery
         batches are appended before processing and synced at week
@@ -286,7 +285,6 @@ class EventTimeIngestor:
         from repro.quarantine.firewall import QUARANTINE_METRIC
         from repro.quarantine.store import QuarantinedReading, QuarantineReason
 
-        assert self.service.firewall is not None
         released = self.service.cycles_ingested
         self.service.firewall.store.add(
             QuarantinedReading(

@@ -10,7 +10,7 @@ how much wall-clock each polling cycle may spend.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 
@@ -89,3 +89,12 @@ class LoadControlConfig:
                 f"pressure_shed_after must be >= 1, got "
                 f"{self.pressure_shed_after}"
             )
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints pickle this config by its instance dict.  One
+        # written while the config still carried the retired head-end
+        # admission knobs must not carry them into later checkpoints.
+        declared = {f.name for f in fields(self)}
+        self.__dict__.update(
+            {name: value for name, value in state.items() if name in declared}
+        )

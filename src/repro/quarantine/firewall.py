@@ -12,12 +12,13 @@ polling cycle *before* ingestion, routing rejects to a
 :class:`~repro.quarantine.store.QuarantineReason` per malformed-reading
 class — so garbage becomes evidence instead of detector state.
 
-Accepted readings pass through unchanged; rejected consumers simply
-vanish from the cycle, which the gap-tolerant
-:class:`~repro.core.online.TheftMonitoringService` records as explicit
-gaps (keeping series slot-aligned and counting against the consumer's
-circuit breaker).  No quarantined value ever reaches detector
-``fit``/``score``.
+Every :class:`~repro.core.online.TheftMonitoringService` screens its
+cycles here (``ReadingFirewall()`` unless given another), and this is
+the only check of reading values on the ingest path.  Accepted readings
+pass through unchanged; rejected consumers simply vanish from the
+cycle, which the service records as explicit gaps (keeping series
+slot-aligned and counting against the consumer's circuit breaker).  No
+quarantined value ever reaches detector ``fit``/``score``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Configuration for gap-tolerant (degraded-mode) monitoring."""
+"""Gap-tolerance knobs for the monitoring service's one ingest path."""
 
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ from repro.timeseries.seasonal import SLOTS_PER_WEEK
 class ResilienceConfig:
     """Knobs governing fault tolerance in the monitoring service.
 
-    Passing an instance to
-    :class:`~repro.core.online.TheftMonitoringService` switches ingestion
-    from strict mode (any population mismatch raises) to gap-tolerant
-    mode: missing or invalid readings become NaN gap markers, short gaps
-    are repaired by interpolation at week boundaries, and weeks with
+    :class:`~repro.core.online.TheftMonitoringService` uses
+    ``ResilienceConfig()`` unless given another instance.  Missing or
+    quarantined readings become NaN gap markers, short gaps are
+    repaired by interpolation at week boundaries, and weeks with
     residual gaps are scored in degraded mode when coverage permits.
 
     Parameters

@@ -69,21 +69,6 @@ class FaultEvent:
     seen: int = 0
     fired: bool = False
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{FAULT_KINDS}"
-            )
-        if self.op not in _OPS:
-            raise ConfigurationError(
-                f"unknown fault op {self.op!r}; expected one of {_OPS}"
-            )
-        if self.at < 1:
-            raise ConfigurationError(
-                f"fault occurrence must be >= 1, got {self.at}"
-            )
-
     def matches(self, site: str, op: str) -> bool:
         return (self.op in ("*", op)) and fnmatchcase(site, self.site)
 
@@ -93,14 +78,31 @@ class FaultEvent:
 
 @dataclass
 class FaultSchedule:
-    """An ordered set of :class:`FaultEvent` plus the injection ledger."""
+    """An ordered set of :class:`FaultEvent` plus the injection ledger.
+
+    One type serves every fault plane: storage here, the network in
+    :mod:`repro.transport.faults`.  A plane differs only in the kinds
+    and ops :meth:`parse` accepts and in the names its errors use.
+    """
 
     events: list[FaultEvent] = field(default_factory=list)
     ledger: list[dict] = field(default_factory=list)
 
     @classmethod
-    def parse(cls, spec: str) -> "FaultSchedule":
-        """Build a schedule from the ``site:op@N=kind,...`` grammar."""
+    def parse(
+        cls,
+        spec: str,
+        kinds: tuple[str, ...] = FAULT_KINDS,
+        ops: tuple[str, ...] | None = _OPS,
+        name: str = "fault",
+        grammar: str = "site:op@N=kind",
+    ) -> "FaultSchedule":
+        """Build a schedule from the ``site:op@N=kind,...`` grammar.
+
+        ``kinds`` and ``ops`` are the plane's vocabulary (``ops=None``
+        accepts any non-empty op); ``name`` and ``grammar`` word its
+        errors, e.g. ``"network fault"`` and ``"shard:op@N=kind"``.
+        """
         events: list[FaultEvent] = []
         for raw in spec.split(","):
             token = raw.strip()
@@ -113,15 +115,30 @@ class FaultSchedule:
                 at = int(at_text)
             except ValueError as exc:
                 raise ConfigurationError(
-                    f"bad fault spec {token!r}; expected site:op@N=kind"
+                    f"bad {name} spec {token!r}; expected {grammar}"
                 ) from exc
-            events.append(
-                FaultEvent(site=site.strip(), op=op.strip(), at=at,
-                           kind=kind.strip())
+            event = FaultEvent(
+                site=site.strip(), op=op.strip(), at=at, kind=kind.strip()
             )
+            if event.kind not in kinds:
+                raise ConfigurationError(
+                    f"unknown {name} kind {event.kind!r}; expected one of "
+                    f"{kinds}"
+                )
+            if ops is not None and event.op not in ops:
+                raise ConfigurationError(
+                    f"unknown fault op {event.op!r}; expected one of {ops}"
+                )
+            if not event.op:
+                raise ConfigurationError("fault op must be non-empty")
+            if event.at < 1:
+                raise ConfigurationError(
+                    f"fault occurrence must be >= 1, got {event.at}"
+                )
+            events.append(event)
         if not events:
             raise ConfigurationError(
-                f"fault spec {spec!r} contains no events"
+                f"{name} spec {spec!r} contains no events"
             )
         return cls(events=events)
 

@@ -5,8 +5,8 @@ heartbeats, handoff checkpoints/extracts/adopts, health pulls — travels
 through a :class:`Transport` as an idempotent, request-id-tagged
 :class:`Envelope`.  Production runs use :class:`InProcTransport` (a
 dict lookup away from the direct calls it replaced);
-:class:`FaultyTransport` interposes a deterministic
-:class:`NetworkFaultSchedule` so partition-tolerance claims are proved
+:class:`FaultyTransport` interposes a deterministic fault schedule
+(:func:`parse_network_faults`) so partition-tolerance claims are proved
 by replayable chaos, not asserted.
 
 See the module docstrings for the load-bearing details:
@@ -29,8 +29,7 @@ from repro.transport.envelope import Envelope, Reply, payload_fingerprint
 from repro.transport.faults import (
     NETWORK_FAULT_KINDS,
     FaultyTransport,
-    NetworkFaultEvent,
-    NetworkFaultSchedule,
+    parse_network_faults,
 )
 from repro.transport.lease import ShardLease
 
@@ -40,13 +39,12 @@ __all__ = [
     "InProcTransport",
     "LEASE_ACQUIRE",
     "NETWORK_FAULT_KINDS",
-    "NetworkFaultEvent",
-    "NetworkFaultSchedule",
     "Reply",
     "ShardClient",
     "ShardEndpoint",
     "ShardLease",
     "Transport",
     "WRITE_KINDS",
+    "parse_network_faults",
     "payload_fingerprint",
 ]

@@ -6,7 +6,9 @@ a *scheduled lie* the network tells on an exact (shard glob, envelope
 kind, occurrence count), so chaos suites replay bit-identically and CI
 failures reproduce locally from the spec string alone.
 
-The parseable spec grammar (``--network-faults``) mirrors storage's::
+The parseable spec grammar (``--network-faults``) is storage's, parsed
+by the same :class:`~repro.storage.faults.FaultSchedule`
+(:func:`parse_network_faults` passes the network's kinds)::
 
     SPEC   := EVENT ("," EVENT)*
     EVENT  := SHARD ":" KIND_OP "@" N "=" FAULT
@@ -48,15 +50,10 @@ the schedule's **ledger** (uploaded as a CI artifact by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING
 
-from repro.errors import (
-    ConfigurationError,
-    TransportTimeout,
-    UnreachableShardError,
-)
+from repro.errors import TransportTimeout, UnreachableShardError
+from repro.storage.faults import FaultEvent, FaultSchedule
 from repro.transport.base import InProcTransport
 from repro.transport.envelope import Envelope, Reply
 
@@ -66,8 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "NETWORK_FAULT_KINDS",
     "FaultyTransport",
-    "NetworkFaultEvent",
-    "NetworkFaultSchedule",
+    "parse_network_faults",
 ]
 
 NETWORK_FAULT_KINDS = (
@@ -81,119 +77,17 @@ NETWORK_FAULT_KINDS = (
 )
 
 
-@dataclass
-class NetworkFaultEvent:
-    """One scheduled fault: the ``at``-th ``op`` attempt at a shard."""
-
-    site: str
-    op: str
-    at: int
-    kind: str
-    seen: int = 0
-    fired: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in NETWORK_FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown network fault kind {self.kind!r}; expected one "
-                f"of {NETWORK_FAULT_KINDS}"
-            )
-        if not self.op:
-            raise ConfigurationError("fault op must be non-empty")
-        if self.at < 1:
-            raise ConfigurationError(
-                f"fault occurrence must be >= 1, got {self.at}"
-            )
-
-    def matches(self, site: str, op: str) -> bool:
-        return (self.op in ("*", op)) and fnmatchcase(site, self.site)
-
-    def spec(self) -> str:
-        return f"{self.site}:{self.op}@{self.at}={self.kind}"
-
-
-@dataclass
-class NetworkFaultSchedule:
-    """An ordered set of :class:`NetworkFaultEvent` plus the ledger.
-
-    Same grammar, counters, and ledger shape as the storage layer's
-    :class:`~repro.storage.faults.FaultSchedule` — one fault discipline
-    across both fault domains.
-    """
-
-    events: list[NetworkFaultEvent] = field(default_factory=list)
-    ledger: list[dict] = field(default_factory=list)
-
-    @classmethod
-    def parse(cls, spec: str) -> "NetworkFaultSchedule":
-        """Build a schedule from the ``shard:op@N=kind,...`` grammar."""
-        events: list[NetworkFaultEvent] = []
-        for raw in spec.split(","):
-            token = raw.strip()
-            if not token:
-                continue
-            try:
-                left, kind = token.rsplit("=", 1)
-                site_op, at_text = left.rsplit("@", 1)
-                site, op = site_op.rsplit(":", 1)
-                at = int(at_text)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad network fault spec {token!r}; expected "
-                    "shard:op@N=kind"
-                ) from exc
-            events.append(
-                NetworkFaultEvent(
-                    site=site.strip(), op=op.strip(), at=at, kind=kind.strip()
-                )
-            )
-        if not events:
-            raise ConfigurationError(
-                f"network fault spec {spec!r} contains no events"
-            )
-        return cls(events=events)
-
-    def step(self, site: str, op: str) -> NetworkFaultEvent | None:
-        """Advance matching counters; return the event firing now, if any."""
-        firing: NetworkFaultEvent | None = None
-        for event in self.events:
-            if not event.matches(site, op):
-                continue
-            event.seen += 1
-            if firing is None and not event.fired and event.seen == event.at:
-                event.fired = True
-                firing = event
-        if firing is not None:
-            self.ledger.append(
-                {
-                    "site": site,
-                    "op": op,
-                    "occurrence": firing.at,
-                    "kind": firing.kind,
-                    "spec": firing.spec(),
-                }
-            )
-        return firing
-
-    @property
-    def injected(self) -> int:
-        return len(self.ledger)
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every scheduled event has fired."""
-        return all(event.fired for event in self.events)
-
-    def to_dict(self) -> dict:
-        return {
-            "events": [
-                {"spec": event.spec(), "fired": event.fired,
-                 "seen": event.seen}
-                for event in self.events
-            ],
-            "injected": self.injected,
-            "ledger": list(self.ledger),
-        }
+def parse_network_faults(spec: str) -> FaultSchedule:
+    """Build a network :class:`~repro.storage.faults.FaultSchedule`
+    from the ``shard:op@N=kind,...`` grammar (any op name matches an
+    envelope kind)."""
+    return FaultSchedule.parse(
+        spec,
+        kinds=NETWORK_FAULT_KINDS,
+        ops=None,
+        name="network fault",
+        grammar="shard:op@N=kind",
+    )
 
 
 class FaultyTransport(InProcTransport):
@@ -203,7 +97,7 @@ class FaultyTransport(InProcTransport):
 
     def __init__(
         self,
-        schedule: NetworkFaultSchedule,
+        schedule: FaultSchedule,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         super().__init__()
@@ -238,7 +132,7 @@ class FaultyTransport(InProcTransport):
 
     # -- delivery ------------------------------------------------------
 
-    def _record(self, event: NetworkFaultEvent, op: str) -> None:
+    def _record(self, event: FaultEvent, op: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(
                 "fdeta_transport_faults_injected_total",

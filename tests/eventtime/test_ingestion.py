@@ -102,15 +102,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             EventTimeIngestor(service)
 
-    def test_eventtime_requires_firewall(self):
-        with pytest.raises(ConfigurationError):
-            TheftMonitoringService(
-                detector_factory=KLDDetector,
-                resilience=ResilienceConfig(),
-                population=CONSUMERS,
-                eventtime=EventTimeConfig(),
-            )
-
     def test_unknown_consumer_rejected(self):
         ingestor = EventTimeIngestor(_service())
         with pytest.raises(DataError):

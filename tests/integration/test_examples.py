@@ -4,6 +4,8 @@ The examples are part of the public deliverable; this guards them
 against API drift the way library tests guard the modules.
 """
 
+import contextlib
+import io
 import runpy
 import sys
 from pathlib import Path
@@ -52,7 +54,24 @@ def test_detector_shootout_small_scale(capsys):
     assert "Table III" in out
 
 
-def test_online_monitoring_runs(capsys):
-    _run_example("online_monitoring.py")
-    out = capsys.readouterr().out
-    assert "suspected victims" in out
+@pytest.fixture(scope="module")
+def online_monitoring_output():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _run_example("online_monitoring.py")
+    return buffer.getvalue()
+
+
+def test_online_monitoring_runs(online_monitoring_output):
+    assert "suspected victims" in online_monitoring_output
+
+
+def test_online_monitoring_verdicts_are_pinned(online_monitoring_output):
+    """The example's clean, complete cycles are the zero-gap case of the
+    firewalled, gap-tolerant ingest: its verdicts stay what they were
+    when the service still had a strict mode."""
+    lines = online_monitoring_output.splitlines()
+    assert (
+        "suspected victims:   ('house-d', 'house-a', 'house-b')" in lines
+    )
+    assert "suspected attackers: ('house-b',)" in lines

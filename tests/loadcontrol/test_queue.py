@@ -253,4 +253,8 @@ class TestCheckpointWithRetiredAdmissionFields:
         assert [r.week_index for r in restored.reports] == [0, 1, 2, 3]
         # Trained on the restored weeks, the service scores everyone.
         assert set(restored.reports[-1].coverage) == set(CONSUMERS)
+        # Only the declared fields survive a restore, so re-saving the
+        # restored service drops the retired knobs for good.
+        save_checkpoint(restored, path)
+        assert b"max_defer_cycles" not in path.read_bytes()
 

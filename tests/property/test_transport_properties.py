@@ -31,9 +31,9 @@ from repro.errors import (
 from repro.resilience.retry import RetryPolicy
 from repro.transport import (
     FaultyTransport,
-    NetworkFaultSchedule,
     ShardClient,
     ShardEndpoint,
+    parse_network_faults,
 )
 
 sys.path.insert(0, "tests/scaleout")
@@ -44,7 +44,7 @@ ALL_KINDS = TRANSIENT_KINDS + ("partition", "heal")
 
 def _schedule(events):
     spec = ",".join(f"s1:ingest@{at}={kind}" for at, kind in events)
-    return NetworkFaultSchedule.parse(spec)
+    return parse_network_faults(spec)
 
 
 transient_events = st.lists(
@@ -215,7 +215,7 @@ class TestFleetLevel:
             expected = baseline.merged_signature()
 
         spec = ",".join(f"{site}:*@{at}={kind}" for site, at, kind in events)
-        transport = FaultyTransport(NetworkFaultSchedule.parse(spec))
+        transport = FaultyTransport(parse_network_faults(spec))
         chaos_dir = tmp_path_factory.mktemp("chaos")
         with ElasticFleet(
             CONSUMERS,

@@ -149,13 +149,6 @@ class TestInstrumentation:
 
 
 class TestServiceIntegration:
-    def test_firewall_requires_gap_tolerant_mode(self):
-        with pytest.raises(ConfigurationError):
-            TheftMonitoringService(
-                detector_factory=KLDDetector,
-                firewall=ReadingFirewall(),
-            )
-
     def _service(self):
         return TheftMonitoringService(
             detector_factory=lambda: KLDDetector(significance=0.05),

@@ -138,7 +138,7 @@ class TestGracefulDegradation:
     def test_lossy_alerts_close_to_clean_alerts(self, chaos_run):
         """Loss shouldn't change who the service accuses.
 
-        A clean strict-mode replay of the same population and attack is
+        A clean, loss-free replay of the same population and attack is
         the reference; the lossy run may add or lose a few marginal
         alerts but the victim must be flagged in both and the number of
         accused consumers must stay close.

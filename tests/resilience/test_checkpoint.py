@@ -99,19 +99,39 @@ class TestRoundTrip:
         restored = load_checkpoint(path, _factory)
         assert restored.store.gap_count(dropped) == gaps_before
 
-    def test_strict_mode_service_round_trips_too(self, cycles, tmp_path):
+    def test_strict_mode_checkpoint_restores_onto_the_one_path(
+        self, cycles, tmp_path
+    ):
+        """A checkpoint written by a strict-mode service (no resilience
+        config, no firewall, no breakers) restores with the defaults and
+        keeps ingesting."""
         path = tmp_path / "service.ckpt"
         service = TheftMonitoringService(
             detector_factory=_factory, min_training_weeks=6
         )
         for cycle in cycles[: 7 * SLOTS_PER_WEEK]:
             service.ingest_cycle(cycle)
-        save_checkpoint(service, path)
+        state = service._state_dict()
+        state.update(resilience=None, firewall=None, breakers=None)
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": "fdeta-checkpoint",
+                    "version": CHECKPOINT_VERSION,
+                    "state": state,
+                }
+            )
+        )
         restored = load_checkpoint(path, _factory)
-        assert restored.resilience is None
+        assert restored.resilience == ResilienceConfig()
+        assert len(restored.firewall.store) == 0
+        assert restored.quarantined_consumers() == ()
+        assert restored.reports == service.reports
         for cycle in cycles[7 * SLOTS_PER_WEEK :]:
             restored.ingest_cycle(cycle)
+            service.ingest_cycle(cycle)
         assert restored.weeks_completed == 12
+        assert restored.reports == service.reports
 
 
 class TestCheckpointFileFormat:

@@ -20,7 +20,11 @@ from repro.errors import StaleLeaseError, SupervisorError
 from repro.observability.metrics import MetricsRegistry
 from repro.scaleout.fleet import ElasticFleet
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
-from repro.transport import FaultyTransport, InProcTransport, NetworkFaultSchedule
+from repro.transport import (
+    FaultyTransport,
+    InProcTransport,
+    parse_network_faults,
+)
 
 T = WEEKS * SLOTS_PER_WEEK
 
@@ -54,7 +58,7 @@ class TestPartitionLifecycle:
     def test_partition_degrades_buffers_and_heals_bit_identical(
         self, tmp_path, baseline
     ):
-        schedule = NetworkFaultSchedule.parse(
+        schedule = parse_network_faults(
             "shard-0000:ingest@30=partition"
         )
         transport = FaultyTransport(schedule)
@@ -96,7 +100,7 @@ class TestPartitionLifecycle:
             assert fleet.merged_signature() == baseline
 
     def test_scheduled_heal_reconnects_without_operator(self, tmp_path, baseline):
-        schedule = NetworkFaultSchedule.parse(
+        schedule = parse_network_faults(
             "shard-0001:*@25=partition,shard-0001:*@40=heal"
         )
         with _fleet(tmp_path, FaultyTransport(schedule)) as fleet:
@@ -111,7 +115,7 @@ class TestPartitionLifecycle:
             assert fleet.merged_signature() == baseline
 
     def test_transient_faults_invisible_in_verdicts(self, tmp_path, baseline):
-        schedule = NetworkFaultSchedule.parse(
+        schedule = parse_network_faults(
             "shard-*:ingest@7=drop,shard-*:ingest@19=delay,"
             "shard-*:ingest@31=dup,shard-*:ingest@43=reorder,"
             "shard-*:ingest@57=garble"
@@ -130,7 +134,7 @@ class TestPartitionLifecycle:
 
     def test_rebalance_refused_across_partition(self, tmp_path):
         transport = FaultyTransport(
-            NetworkFaultSchedule.parse("shard-0000:ingest@10=partition")
+            parse_network_faults("shard-0000:ingest@10=partition")
         )
         with _fleet(tmp_path, transport) as fleet:
             for t in range(12):

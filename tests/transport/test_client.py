@@ -13,9 +13,9 @@ from repro.resilience.retry import RetryPolicy, retry_call
 from repro.transport import (
     FaultyTransport,
     InProcTransport,
-    NetworkFaultSchedule,
     ShardClient,
     ShardEndpoint,
+    parse_network_faults,
 )
 
 
@@ -23,7 +23,7 @@ def _fixture(spec=None, metrics=None, policy=None):
     if spec is None:
         transport = InProcTransport()
     else:
-        transport = FaultyTransport(NetworkFaultSchedule.parse(spec))
+        transport = FaultyTransport(parse_network_faults(spec))
     endpoint = ShardEndpoint("s1")
     calls = []
     endpoint.bind({"ingest": lambda p: calls.append(p) or len(calls)})

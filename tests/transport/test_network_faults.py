@@ -13,8 +13,8 @@ from repro.transport import (
     NETWORK_FAULT_KINDS,
     Envelope,
     FaultyTransport,
-    NetworkFaultSchedule,
     ShardEndpoint,
+    parse_network_faults,
 )
 
 
@@ -25,7 +25,7 @@ def _env(request_id, shard="s1", kind="ingest", payload=None):
 
 
 def _transport(spec, metrics=None):
-    transport = FaultyTransport(NetworkFaultSchedule.parse(spec), metrics)
+    transport = FaultyTransport(parse_network_faults(spec), metrics)
     endpoint = ShardEndpoint("s1")
     calls = []
     endpoint.bind({"ingest": lambda p: calls.append(p) or len(calls)})
@@ -35,7 +35,7 @@ def _transport(spec, metrics=None):
 
 class TestGrammar:
     def test_parse_round_trips_spec(self):
-        schedule = NetworkFaultSchedule.parse(
+        schedule = parse_network_faults(
             "shard-0001:ingest@3=drop, shard-*:*@40=partition"
         )
         assert [e.spec() for e in schedule.events] == [
@@ -49,25 +49,25 @@ class TestGrammar:
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            NetworkFaultSchedule.parse(bad)
+            parse_network_faults(bad)
 
     def test_unknown_kind_and_bad_occurrence_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown network fault"):
-            NetworkFaultSchedule.parse("s1:ingest@3=explode")
+            parse_network_faults("s1:ingest@3=explode")
         with pytest.raises(ConfigurationError, match="occurrence"):
-            NetworkFaultSchedule.parse("s1:ingest@0=drop")
+            parse_network_faults("s1:ingest@0=drop")
 
     def test_all_documented_kinds_parse(self):
         for kind in NETWORK_FAULT_KINDS:
-            NetworkFaultSchedule.parse(f"s1:ingest@1={kind}")
+            parse_network_faults(f"s1:ingest@1={kind}")
 
     def test_glob_sites_and_wildcard_ops_match(self):
-        schedule = NetworkFaultSchedule.parse("shard-*:*@2=drop")
+        schedule = parse_network_faults("shard-*:*@2=drop")
         assert schedule.step("shard-0007", "heartbeat") is None
         assert schedule.step("shard-0007", "ingest").kind == "drop"
 
     def test_counters_shared_across_matching_sites(self):
-        schedule = NetworkFaultSchedule.parse("s*:ingest@2=drop")
+        schedule = parse_network_faults("s*:ingest@2=drop")
         assert schedule.step("s1", "ingest") is None
         assert schedule.step("s2", "ingest").kind == "drop"
 
