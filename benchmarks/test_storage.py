@@ -1,11 +1,9 @@
 """Benchmarks the storage-robustness layer's steady-state cost.
 
-Three numbers matter operationally: what the pluggable I/O seam costs
+Two numbers matter operationally: what the pluggable I/O seam costs
 when no faults are armed (it sits on the WAL hot path, so it must be
-~free), what a transient-fault retry storm costs relative to a clean
-run, and how long a checkpoint scrub pass takes (it gates restart and
-runs on a cadence in production).  Records land in
-``BENCH_storage.json``.
+~free), and what a transient-fault retry storm costs relative to a
+clean run.  Records land in ``BENCH_storage.json``.
 """
 
 from __future__ import annotations
@@ -18,13 +16,11 @@ from repro.durability import DurableTheftMonitor, WriteAheadLog, replay_wal
 from repro.quarantine import FirewallPolicy, ReadingFirewall
 from repro.resilience import ResilienceConfig
 from repro.storage import FaultSchedule, FaultyIO
-from repro.storage.scrub import CheckpointScrubber
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 from benchmarks.conftest import BENCH_CONSUMERS, BenchTimer, record_bench
 
 _CYCLES = 2 * SLOTS_PER_WEEK
-_SCRUB_PASSES = 20
 
 
 def _population(n=BENCH_CONSUMERS):
@@ -126,34 +122,3 @@ def test_transient_retry_overhead(tmp_path):
     # Every fault was absorbed: the log replays complete and clean.
     assert faulty.schedule.exhausted
     assert len(list(replay_wal(tmp_path / "wal-faulty").cycles())) == _CYCLES
-
-
-def test_checkpoint_scrub_latency(tmp_path):
-    """Verification cost per scrub pass over both generations."""
-    ids = _population()
-    ckpt = str(tmp_path / "service.ckpt")
-    wal_dir = str(tmp_path / "wal")
-    with DurableTheftMonitor(
-        _service(ids),
-        WriteAheadLog(wal_dir),
-        checkpoint_path=ckpt,
-        checkpoint_generations=2,
-    ) as monitor:
-        for t in range(_CYCLES):
-            monitor.ingest_cycle(_cycle_readings(ids, t))
-
-    scrubber = CheckpointScrubber(
-        ckpt, wal_dir, detector_factory=_detector_factory
-    )
-    with BenchTimer() as timer:
-        for _ in range(_SCRUB_PASSES):
-            report = scrubber.scrub()
-    assert report.ok
-    record_bench(
-        "storage",
-        timer.elapsed,
-        stage="scrub_clean_pass",
-        passes=_SCRUB_PASSES,
-        generations=report.checked,
-        scrubs_per_second=_SCRUB_PASSES / max(timer.elapsed, 1e-9),
-    )

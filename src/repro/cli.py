@@ -34,12 +34,12 @@ those exports plus the fleet manifest as an operator dashboard.
 Storage-fault robustness: ``monitor --storage-faults`` arms a
 deterministic fault schedule (ENOSPC, EIO, torn writes, lying fsync,
 at-rest bit-rot) against every durable write site, with the injection
-evidence written via ``--fault-ledger-out``; ``--scrub`` verifies and
-repairs checkpoint generations before starting (pair with
-``--checkpoint-generations 2`` so the WAL still covers the generation
-gap).  A disk-full WAL write flips the monitor into degraded read-only
-mode: ingestion stops, committed verdicts stay servable, and the run
-exits 4.
+evidence written via ``--fault-ledger-out``.  Every durable restart —
+``--recover`` and every fleet reopen — survives a corrupt checkpoint
+by falling back to its previous generation and replaying the WAL
+forward; corruption nothing can rebuild exits 2.  A disk-full WAL write
+flips the monitor into degraded read-only mode: ingestion stops,
+committed verdicts stay servable, and the run exits 4.
 
 Network-fault robustness: ``monitor --elastic --network-faults`` arms
 a deterministic transport fault schedule (drop, delay, dup, reorder,
@@ -393,6 +393,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
         recover_monitor,
     )
     from repro.errors import (
+        CheckpointError,
         ConfigurationError,
         DataError,
         DurabilityError,
@@ -441,17 +442,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.scrub and not (args.wal_dir and args.checkpoint):
-        print(
-            "--scrub requires --wal-dir and --checkpoint (it verifies "
-            "the checkpoint generations and rebuilds a corrupt one from "
-            "the WAL)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint_generations < 1:
-        print("--checkpoint-generations must be >= 1", file=sys.stderr)
-        return 2
     if args.transport_ledger_out and not args.network_faults:
         print(
             "--transport-ledger-out requires --network-faults",
@@ -470,13 +460,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.lineage_out and not args.integrity:
         print("--lineage-out requires --integrity", file=sys.stderr)
         return 2
-    if args.lineage_out and (args.eventtime or fleet):
-        print(
-            "--lineage-out needs the single-service monitor "
-            "(drop --eventtime/--elastic/--shards)",
-            file=sys.stderr,
-        )
-        return 2
     if args.model_rollback is not None:
         if not args.integrity:
             print("--model-rollback requires --integrity", file=sys.stderr)
@@ -486,6 +469,17 @@ def _monitor_command(args: argparse.Namespace) -> int:
                 "--model-rollback requires --resume or --recover (the "
                 "registry holding the target version lives in the "
                 "checkpoint)",
+                file=sys.stderr,
+            )
+            return 2
+    for flag, given in (
+        ("--lineage-out", args.lineage_out),
+        ("--model-rollback", args.model_rollback is not None),
+    ):
+        if given and (args.eventtime or fleet):
+            print(
+                f"{flag} needs the single-service monitor "
+                "(drop --eventtime/--elastic/--shards)",
                 file=sys.stderr,
             )
             return 2
@@ -632,40 +626,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
             events=events,
         )
 
-    if args.scrub:
-        from repro.errors import ScrubError
-        from repro.storage.scrub import CheckpointScrubber
-
-        scrubber = CheckpointScrubber(
-            args.checkpoint,
-            args.wal_dir,
-            detector_factory=factory,
-            service_factory=fresh_service,
-            events=events,
-        )
-        try:
-            scrub_report = scrubber.scrub()
-        except ScrubError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        for finding in scrub_report.findings:
-            line = (
-                f"scrub: {finding.generation} checkpoint {finding.path}: "
-                f"{finding.status}"
-            )
-            if finding.action != "none":
-                line += f" ({finding.action}"
-                if finding.detail:
-                    line += f": {finding.detail}"
-                line += ")"
-            print(line, file=sys.stderr)
-        print(
-            f"scrub: {scrub_report.checked} generation(s) checked, "
-            f"{scrub_report.corrupt} corrupt, "
-            f"{scrub_report.repaired} repaired",
-            file=sys.stderr,
-        )
-
     resumed = False
     if args.recover:
         try:
@@ -677,23 +637,32 @@ def _monitor_command(args: argparse.Namespace) -> int:
                 events=events,
                 tracer=tracer,
             )
-        except DurabilityError as exc:
+        except (CheckpointError, DurabilityError) as exc:
             print(f"recovery failed: {exc}", file=sys.stderr)
             return 2
         service = result.service
         resumed = result.restored_from_checkpoint or result.replayed_cycles > 0
+        source = (
+            f"{result.generation} checkpoint generation"
+            if result.generation is not None
+            else "no checkpoint"
+        )
         print(
             f"recovered from {args.wal_dir} at week "
             f"{service.weeks_completed}, cycle {service.cycles_ingested} "
-            f"({result.replayed_cycles} WAL cycle(s) replayed"
+            f"({source}, {result.replayed_cycles} WAL cycle(s) replayed"
             + (", torn tail truncated" if result.torn_tail else "")
             + ")",
             file=sys.stderr,
         )
     elif args.checkpoint and args.resume and os.path.exists(args.checkpoint):
-        service = TheftMonitoringService.restore(
-            args.checkpoint, factory, events=events, tracer=tracer
-        )
+        try:
+            service = TheftMonitoringService.restore(
+                args.checkpoint, factory, events=events, tracer=tracer
+            )
+        except CheckpointError as exc:
+            print(f"recovery failed: {exc}", file=sys.stderr)
+            return 2
         resumed = True
         print(
             f"resumed from {args.checkpoint} at week "
@@ -738,7 +707,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
             wal,
             checkpoint_path=args.checkpoint,
             profiler=profiler,
-            checkpoint_generations=args.checkpoint_generations,
         )
         ingest = monitor.ingest_cycle
     else:
@@ -1161,9 +1129,14 @@ def _run_monitor_fleet(
     """
     import numpy as np
 
-    from repro.errors import ConfigurationError, DurabilityError
+    from repro.errors import (
+        CheckpointError,
+        ConfigurationError,
+        DurabilityError,
+    )
     from repro.loadcontrol import BufferedIngestor
     from repro.observability.metrics import MetricsRegistry
+    from repro.quarantine import QuarantineStore
     from repro.scaleout import ElasticFleet
     from repro.timeseries.seasonal import SLOTS_PER_WEEK
     from repro.transport import FaultyTransport, parse_network_faults
@@ -1208,7 +1181,7 @@ def _run_monitor_fleet(
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except DurabilityError as exc:
+    except (CheckpointError, DurabilityError) as exc:
         # Opening a fleet recovers every shard from its WAL.
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 2
@@ -1335,10 +1308,16 @@ def _run_monitor_fleet(
         print(f"total alerts: {total_alerts}")
         print(f"suspected attackers: {attackers or 'none'}")
         print(f"suspected victims:   {victims or 'none'}")
-        quarantined_readings = sum(
-            len(svc.firewall.store) for svc in services.values()
-        )
-        print(f"quarantined readings: {quarantined_readings}")
+        quarantine = QuarantineStore()
+        for svc in services.values():
+            quarantine.merge(svc.firewall.store)
+        print(f"quarantined readings: {len(quarantine)}")
+        if args.quarantine_report:
+            _safe_export(
+                "quarantine report",
+                args.quarantine_report,
+                lambda: quarantine.write_report(args.quarantine_report),
+            )
         print(f"fleet restarts: {fleet.restarts_total}")
         print(
             "shard epochs: "
@@ -1587,7 +1566,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--recover",
         action="store_true",
         help="reconcile --checkpoint (if any) with the --wal-dir log "
-        "before continuing: replays the WAL tail a crash cut off",
+        "before continuing: replays the WAL tail a crash cut off, from "
+        "the previous checkpoint generation if the current one is "
+        "corrupt",
     )
     mon.add_argument(
         "--quarantine-report",
@@ -1675,21 +1656,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard ownership lease TTL in ingest cycles for the "
         "elastic fleet (default 8); writes renew the lease, so only a "
         "silent coordinator can lose one",
-    )
-    mon.add_argument(
-        "--scrub",
-        action="store_true",
-        help="verify every checkpoint generation before starting and "
-        "rebuild a corrupt current one from the previous generation "
-        "plus WAL replay (requires --wal-dir and --checkpoint)",
-    )
-    mon.add_argument(
-        "--checkpoint-generations",
-        type=int,
-        default=1,
-        help="checkpoint generations WAL compaction lags behind; 2 "
-        "keeps enough log to rebuild a corrupt checkpoint from its "
-        ".prev generation (see --scrub)",
     )
     mon.add_argument(
         "--eventtime",

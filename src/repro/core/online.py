@@ -546,10 +546,6 @@ class TheftMonitoringService:
         ]
         return matrix[keep], keep
 
-    def _training_matrix(self, consumer_id: str) -> np.ndarray:
-        matrix, _ = self._training_rows(consumer_id)
-        return matrix
-
     def _screen_consumer(
         self, consumer_id: str, matrix: np.ndarray, weeks: list[int]
     ) -> tuple[np.ndarray, list[int]]:
@@ -864,6 +860,17 @@ class TheftMonitoringService:
         report = MonitoringReport(
             week_index=week_index, balance_failures=balance_failures
         )
+        if self.eventtime is not None:
+            # Week ``week_index - grace_weeks`` finalized with this
+            # boundary: no late reading can reach it any more, so its
+            # repair becomes permanent — otherwise one lost reading
+            # would keep the week out of training forever.  Every
+            # roster consumer is repaired (breaker state depends on
+            # delivery order and must not decide what trains).
+            final = week_index - self.eventtime.grace_weeks
+            if final >= 0:
+                for cid in self._roster:
+                    self._repaired_week(cid, final, persist=True)
         if self._framework is None:
             # Weeks up to (and including) the first training week are
             # history, not candidates: nothing is assessed.
@@ -983,18 +990,28 @@ class TheftMonitoringService:
             report.coverage[cid] = observed_fraction(week)
         report.quarantined = tuple(quarantined)
 
-    def _repaired_week(self, consumer_id: str, week_index: int) -> np.ndarray:
-        """One consumer's week, with short gaps repaired in place."""
-        week =self.store.week_matrix(consumer_id)[week_index]
+    def _repaired_week(
+        self,
+        consumer_id: str,
+        week_index: int,
+        persist: bool | None = None,
+    ) -> np.ndarray:
+        """One consumer's week, with short gaps repaired.
+
+        The repair is written back to the store when ``persist`` says
+        so; by default only outside event-time mode, where an
+        interpolated slot must stay a NaN gap until its week finalizes
+        so a late true reading can still be reconciled into it.
+        """
+        if persist is None:
+            persist = self.eventtime is None
+        week = self.store.week(consumer_id, week_index)
         isnan = np.isnan(week)
         if isnan.any() and not isnan.all() and self.resilience.max_repair_gap > 0:
             week = interpolate_gaps(
                 week, max_gap=self.resilience.max_repair_gap
             )
-            if self.eventtime is None:
-                # Event-time mode repairs in memory only: an interpolated
-                # slot must stay a NaN gap in the store so a late true
-                # reading can still be reconciled into it.
+            if persist:
                 self.store.overwrite_week(consumer_id, week_index, week)
         return week
 
@@ -1054,7 +1071,7 @@ class TheftMonitoringService:
     ) -> None:
         """A shed week still gets its coverage counted (cheap, no
         repair, no scoring) so it reconciles as an explicit gap."""
-        week = self.store.week_matrix(consumer_id)[week_index]
+        week = self.store.week(consumer_id, week_index)
         report.coverage[consumer_id] = observed_fraction(week)
 
     def _assess_single(

@@ -7,7 +7,10 @@ composes them: restore the newest checkpoint, then replay the WAL
 records the checkpoint does not cover — in order, through the exact
 same ingestion path (firewall screening included) a live head-end would
 use — so the recovered service is indistinguishable from one that never
-crashed, minus at most the unsynced WAL tail.
+crashed, minus at most the unsynced WAL tail.  A corrupt checkpoint is
+survived the same way on every durable path: recovery falls back to the
+previous generation (``<path>.prev``) and replays the WAL forward from
+there, which is why compaction always lags one generation behind.
 
 :class:`DurableTheftMonitor` is the write-side counterpart: it wraps a
 :class:`~repro.core.online.TheftMonitoringService` so every cycle is
@@ -29,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.durability.wal import WriteAheadLog, replay_wal
 from repro.errors import (
     ConfigurationError,
+    CorruptCheckpointError,
     DiskFullError,
     RecoveryError,
     StorageDegradedError,
@@ -36,6 +40,10 @@ from repro.errors import (
 )
 from repro.observability.ops.profiler import maybe_stage
 from repro.quarantine.firewall import MeterReading
+from repro.resilience.checkpoint import (
+    previous_generation_path,
+    verify_checkpoint,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.online import MonitoringReport, TheftMonitoringService
@@ -51,13 +59,22 @@ __all__ = ["DurableTheftMonitor", "RecoveryResult", "recover_monitor"]
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """What :func:`recover_monitor` rebuilt and from where."""
+    """What :func:`recover_monitor` rebuilt and from where.
+
+    ``generation`` names the checkpoint generation restored:
+    ``"current"``, ``"previous"`` (the current one was corrupt), or
+    ``None`` when the service was rebuilt from the WAL alone.
+    """
 
     service: "TheftMonitoringService"
-    restored_from_checkpoint: bool
+    generation: str | None
     replayed_cycles: int
     skipped_records: int
     torn_tail: bool
+
+    @property
+    def restored_from_checkpoint(self) -> bool:
+        return self.generation is not None
 
 
 def recover_monitor(
@@ -71,46 +88,86 @@ def recover_monitor(
 ) -> RecoveryResult:
     """Rebuild a monitoring service after a crash.
 
-    Restores ``checkpoint_path`` when it exists (requiring
-    ``detector_factory``), otherwise builds a fresh service with
-    ``service_factory``; then replays every WAL cycle the restored
-    state does not cover.  Records already covered by the checkpoint
-    are skipped (the reconciliation), so a WAL that overlaps the
-    checkpoint — the normal case — cannot double-ingest.  A WAL whose
-    first uncovered record is *later* than the checkpoint's next cycle
-    means readings were lost between checkpoint and log (e.g. the WAL
-    was compacted past an older checkpoint) and raises
+    Restores the newest sound generation of ``checkpoint_path``
+    (requiring ``detector_factory``): the current file, or — when it
+    fails its integrity footer or no longer unpickles — the previous
+    generation at ``<path>.prev``.  With neither, a fresh service comes
+    from ``service_factory``.  Every WAL cycle the restored state does
+    not cover is then replayed.  Records already covered by the
+    checkpoint are skipped (the reconciliation), so a WAL that overlaps
+    the checkpoint — the normal case — cannot double-ingest.  A WAL
+    whose first uncovered record is *later* than the checkpoint's next
+    cycle means readings were lost between checkpoint and log (e.g. the
+    WAL was compacted past the generation restored) and raises
     :class:`~repro.errors.RecoveryError` rather than resuming with a
-    silent hole in every series.
+    silent hole in every series.  A checkpoint written by an
+    incompatible version raises :class:`~repro.errors.CheckpointError`:
+    it is intact, and falling back past it would hide the mismatch.
+
+    Each corrupt generation skipped logs a ``checkpoint_fallback``
+    warning and counts in ``fdeta_storage_checkpoint_corruptions_total``
+    on the recovered service's registry.
     """
     from repro.core.online import TheftMonitoringService
 
-    restored = False
-    if checkpoint_path is not None and os.path.exists(
-        os.fspath(checkpoint_path)
-    ):
+    service = None
+    generation = None
+    corrupt: list[tuple[str, str, str]] = []
+    candidates = (
+        ()
+        if checkpoint_path is None
+        else (
+            ("current", os.fspath(checkpoint_path)),
+            ("previous", previous_generation_path(checkpoint_path)),
+        )
+    )
+    for name, path in candidates:
+        status = verify_checkpoint(path)
+        if status == "missing":
+            continue
         if detector_factory is None:
             raise ConfigurationError(
-                "recover_monitor needs detector_factory to restore "
-                f"checkpoint {os.fspath(checkpoint_path)!r}"
+                f"recover_monitor needs detector_factory to restore "
+                f"checkpoint {path!r}"
             )
-        service = TheftMonitoringService.restore(
-            checkpoint_path,
-            detector_factory,
-            auditor=auditor,
-            events=events,
-            tracer=tracer,
-        )
-        restored = True
-    else:
+        if status == "corrupt":
+            corrupt.append((name, path, "failed integrity verification"))
+            continue
+        try:
+            service = TheftMonitoringService.restore(
+                path,
+                detector_factory,
+                auditor=auditor,
+                events=events,
+                tracer=tracer,
+            )
+        except CorruptCheckpointError as exc:
+            corrupt.append((name, path, str(exc)))
+            continue
+        generation = name
+        break
+    if service is None:
         if service_factory is None:
             raise ConfigurationError(
-                "no checkpoint to restore; recover_monitor needs "
+                "no sound checkpoint to restore; recover_monitor needs "
                 "service_factory to build a fresh service"
             )
         service = service_factory()
+    for name, path, reason in corrupt:
+        service.metrics.counter(
+            "fdeta_storage_checkpoint_corruptions_total",
+            "Corrupt checkpoint generations skipped by recovery.",
+        ).inc()
+        if service.events is not None:
+            service.events.warning(
+                "checkpoint_fallback",
+                generation=name,
+                path=path,
+                reason=reason,
+                restored=generation or "none",
+            )
     wal_path = os.fspath(wal_dir)
-    if not restored and not os.path.isdir(wal_path):
+    if generation is None and not os.path.isdir(wal_path):
         # Without a checkpoint the WAL *is* the state; silently
         # replaying an absent directory would hand back a fresh service
         # and erase the history the caller asked to recover.
@@ -140,7 +197,7 @@ def recover_monitor(
         service.events.info(
             "recovery_completed",
             wal_dir=os.fspath(wal_dir),
-            restored_from_checkpoint=restored,
+            generation=generation,
             replayed_cycles=replayed,
             skipped_records=skipped,
             torn_tail=replay.torn_tail,
@@ -149,7 +206,7 @@ def recover_monitor(
         )
     return RecoveryResult(
         service=service,
-        restored_from_checkpoint=restored,
+        generation=generation,
         replayed_cycles=replayed,
         skipped_records=skipped,
         torn_tail=replay.torn_tail,
@@ -177,12 +234,10 @@ class DurableTheftMonitor:
         ``checkpoint`` windows to it, and the profiler is shared with
         the wrapped service (which charges ``firewall``, ``ingest``,
         and ``scoring``) so one profile covers the whole write path.
-    checkpoint_generations:
-        How many checkpoint generations the WAL must stay able to
-        repair.  ``1`` (default) compacts to the current checkpoint as
-        before; ``2`` lags compaction one checkpoint behind, keeping
-        enough log that the scrubber can rebuild a corrupt current
-        checkpoint from ``<path>.prev`` plus WAL replay.
+
+    WAL compaction lags one checkpoint behind: segments are dropped only
+    once the *previous* generation covers them, so a corrupt current
+    checkpoint is always recoverable from ``<path>.prev`` plus replay.
 
     Disk-full degraded mode
     -----------------------
@@ -203,16 +258,10 @@ class DurableTheftMonitor:
         checkpoint_path: str | os.PathLike | None = None,
         sync_every_cycles: int = 1,
         profiler: "object | None" = None,
-        checkpoint_generations: int = 1,
     ) -> None:
         if sync_every_cycles < 1:
             raise ConfigurationError(
                 f"sync_every_cycles must be >= 1, got {sync_every_cycles}"
-            )
-        if checkpoint_generations < 1:
-            raise ConfigurationError(
-                f"checkpoint_generations must be >= 1, got "
-                f"{checkpoint_generations}"
             )
         self.service = service
         self.wal = wal
@@ -223,8 +272,7 @@ class DurableTheftMonitor:
         self.profiler = profiler
         if profiler is not None and service.profiler is None:
             service.profiler = profiler
-        self.checkpoint_generations = int(checkpoint_generations)
-        self._checkpoint_cycles: list[int] = []
+        self._last_checkpoint_cycle: int | None = None
         self._cycles_since_sync = 0
         self.redelivered_cycles = 0
         self.read_only = False
@@ -299,19 +347,7 @@ class DurableTheftMonitor:
         report = self.service.ingest_cycle(reported, snapshot, deadline=deadline)
         if report is not None and self.checkpoint_path is not None:
             try:
-                # Order matters: sync the WAL first so the checkpoint
-                # never claims coverage of cycles the log could still
-                # lose, then compact segments every retained checkpoint
-                # generation has made redundant.
-                if self._cycles_since_sync:
-                    with maybe_stage(self.profiler, "wal_sync"):
-                        self.wal.sync()
-                    self._cycles_since_sync = 0
-                with maybe_stage(self.profiler, "checkpoint"):
-                    self.service.checkpoint(self.checkpoint_path)
-                self.wal.mark_checkpoint(self.service.cycles_ingested)
-                self._checkpoint_cycles.append(self.service.cycles_ingested)
-                self.wal.compact(self._compaction_horizon())
+                self.checkpoint()
             except DiskFullError as exc:
                 # The cycle itself is safely in the WAL (appended and,
                 # at the default cadence, synced); only the checkpoint
@@ -323,11 +359,25 @@ class DurableTheftMonitor:
                 )
         return report
 
-    def _compaction_horizon(self) -> int:
-        """The cycle below which every retained generation is covered."""
-        if len(self._checkpoint_cycles) < self.checkpoint_generations:
-            return 0
-        return self._checkpoint_cycles[-self.checkpoint_generations]
+    def checkpoint(self) -> None:
+        """Checkpoint the service and compact what both generations cover.
+
+        Order matters: sync the WAL first so the checkpoint never claims
+        coverage of cycles the log could still lose, then drop only the
+        segments the *previous* generation already covers — the log must
+        still replay ``<path>.prev`` forward if the new file corrupts.
+        """
+        if self._cycles_since_sync:
+            with maybe_stage(self.profiler, "wal_sync"):
+                self.wal.sync()
+            self._cycles_since_sync = 0
+        with maybe_stage(self.profiler, "checkpoint"):
+            self.service.checkpoint(self.checkpoint_path)
+        cycle = self.service.cycles_ingested
+        self.wal.mark_checkpoint(cycle)
+        if self._last_checkpoint_cycle is not None:
+            self.wal.compact(self._last_checkpoint_cycle)
+        self._last_checkpoint_cycle = cycle
 
     def _enter_degraded(self, reason: str) -> None:
         if self.read_only:

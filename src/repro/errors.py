@@ -52,6 +52,16 @@ class CheckpointError(ResilienceError):
     """A monitoring-service checkpoint could not be written or restored."""
 
 
+class CorruptCheckpointError(CheckpointError):
+    """A checkpoint's bytes are damaged: its integrity footer does not
+    match, or it no longer unpickles into an F-DETA checkpoint.
+
+    Unlike a version mismatch, this is at-rest corruption of one
+    generation; :func:`~repro.durability.recovery.recover_monitor`
+    falls back to the previous generation when it sees it.
+    """
+
+
 class NonFiniteInputError(DataError):
     """A computation received NaN/inf where finite values are required.
 
@@ -205,7 +215,3 @@ class StorageDegradedError(StorageError):
     once :meth:`~repro.durability.recovery.DurableTheftMonitor.try_resume`
     succeeds.
     """
-
-
-class ScrubError(StorageError):
-    """The checkpoint scrubber could not verify or repair a generation."""

@@ -108,18 +108,6 @@ class RevisionLog:
             r for r in self.revisions if r.consumer_id == consumer_id
         )
 
-    def convictions(self) -> tuple[VerdictRevision, ...]:
-        """Upgrade revisions: weeks convicted after publication.
-
-        The retroactive-excision sweep consumes these — any conviction
-        naming a (consumer, week) pair that a model's training lineage
-        includes marks that model tainted
-        (:meth:`repro.integrity.ModelRegistry.tainted_by`).
-        """
-        return tuple(
-            r for r in self.revisions if r.kind is RevisionKind.UPGRADE
-        )
-
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for revision in self.revisions:

@@ -143,6 +143,25 @@ class ReadingStore:
             )
         return series[: n_weeks * slots_per_week].reshape(n_weeks, slots_per_week)
 
+    def week(
+        self,
+        consumer_id: str,
+        week_index: int,
+        slots_per_week: int = SLOTS_PER_WEEK,
+    ) -> np.ndarray:
+        """One recorded week as a float array (a copy, not a view).
+
+        Reads only that week's slice, so per-week callers do not pay
+        for reshaping the whole series.
+        """
+        series = self._series.get(consumer_id, ())
+        start = int(week_index) * slots_per_week
+        if week_index < 0 or start + slots_per_week > len(series):
+            raise DataError(
+                f"{consumer_id!r} has no complete week {week_index}"
+            )
+        return np.asarray(series[start : start + slots_per_week], dtype=float)
+
     def latest_week(
         self, consumer_id: str, slots_per_week: int = SLOTS_PER_WEEK
     ) -> np.ndarray:

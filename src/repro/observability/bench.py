@@ -227,10 +227,6 @@ class BenchDiff:
         return tuple(e for e in self.entries if e["regression"])
 
     @property
-    def improvements(self) -> tuple[dict, ...]:
-        return tuple(e for e in self.entries if e["improvement"])
-
-    @property
     def ok(self) -> bool:
         return not self.regressions
 

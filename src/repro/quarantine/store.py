@@ -82,6 +82,13 @@ class QuarantineStore:
             return
         self.records.append(record)
 
+    def merge(self, other: "QuarantineStore") -> None:
+        """Fold ``other``'s rejects into this store (fleet-wide report)."""
+        self.records.extend(other.records)
+        self.records_dropped += other.records_dropped
+        self._reason_counts.update(other._reason_counts)
+        self._consumer_counts.update(other._consumer_counts)
+
     def __len__(self) -> int:
         return int(sum(self._reason_counts.values()))
 

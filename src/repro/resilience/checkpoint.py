@@ -24,8 +24,9 @@ checkpoint intact.  Each file ends with a SHA-256 integrity footer
 so the format stays loadable by structure while at-rest bit-rot becomes
 *detectable*: a flipped byte fails verification instead of silently
 restoring a forged history).  Saving also preserves the previous
-checkpoint at ``<path>.prev`` — the generation the scrubber repairs
-from when the current one is corrupt.
+checkpoint at ``<path>.prev``: when the current generation is corrupt,
+:func:`~repro.durability.recovery.recover_monitor` restores ``.prev``
+and replays the WAL forward from it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import pickle
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CorruptCheckpointError
 from repro.storage.io import (
     atomic_write_bytes,
     classify_storage_error,
@@ -117,18 +118,14 @@ def verify_checkpoint(path: str | os.PathLike) -> str:
 
 
 def save_checkpoint(
-    service: "TheftMonitoringService",
-    path: str | os.PathLike,
-    *,
-    keep_previous: bool = True,
+    service: "TheftMonitoringService", path: str | os.PathLike
 ) -> None:
     """Atomically serialize the full service state to ``path``.
 
-    When ``keep_previous`` is true (the default) and a checkpoint
-    already exists, its bytes are first preserved at ``<path>.prev`` —
-    a generation the scrubber can repair from — via its own atomic
-    write, so no crash window ever leaves the tree without at least one
-    complete checkpoint.
+    When a checkpoint already exists, its bytes are first preserved at
+    ``<path>.prev`` — the generation recovery falls back to — via its
+    own atomic write, so no crash window ever leaves the tree without
+    at least one complete checkpoint.
     """
     payload = {
         "magic": _MAGIC,
@@ -138,22 +135,21 @@ def save_checkpoint(
     target = os.fspath(path)
     data = _seal(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     io = current_io()
-    if keep_previous:
-        try:
-            with open(target, "rb") as handle:
-                current = handle.read()
-        except OSError:
-            current = None
-        # Only promote a *verifiably sane* current file to .prev — a
-        # corrupt current must never overwrite the good generation the
-        # scrubber would repair from.
-        if current is not None and verify_checkpoint_bytes(current) != "corrupt":
-            atomic_write_bytes(
-                previous_generation_path(target),
-                current,
-                site="checkpoint.prev",
-                io=io,
-            )
+    try:
+        with open(target, "rb") as handle:
+            current = handle.read()
+    except OSError:
+        current = None
+    # Only promote a *verifiably sane* current file to .prev — a corrupt
+    # current must never overwrite the good generation recovery would
+    # fall back to.
+    if current is not None and verify_checkpoint_bytes(current) != "corrupt":
+        atomic_write_bytes(
+            previous_generation_path(target),
+            current,
+            site="checkpoint.prev",
+            io=io,
+        )
     try:
         atomic_write_bytes(target, data, site="checkpoint", io=io)
     except OSError as exc:  # pragma: no cover - classified by atomic write
@@ -176,9 +172,12 @@ def load_checkpoint(
     overrides the checkpointed trace state when provided.
 
     A checkpoint whose integrity footer does not match its contents is
-    **never** loaded — bit-rot surfaces as :class:`CheckpointError`
-    (mentioning the scrubber) instead of silently restoring a forged
-    history.
+    **never** loaded — bit-rot surfaces as
+    :class:`~repro.errors.CorruptCheckpointError` (as does a file that
+    no longer unpickles into a checkpoint) instead of silently restoring
+    a forged history.  A version mismatch is a plain
+    :class:`CheckpointError`: the file is intact, just unreadable by
+    this code.
     """
     from repro.core.online import TheftMonitoringService
 
@@ -189,17 +188,19 @@ def load_checkpoint(
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint at {path!r}") from None
     if verify_checkpoint_bytes(data) == "corrupt":
-        raise CheckpointError(
+        raise CorruptCheckpointError(
             f"checkpoint {path!r} failed integrity verification (at-rest "
-            f"corruption); run the checkpoint scrubber to repair from the "
-            f"previous generation plus WAL replay"
+            f"corruption); recovery with a WAL falls back to the previous "
+            f"generation {previous_generation_path(path)!r}"
         )
     try:
         payload = pickle.load(_io.BytesIO(data))
     except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise CheckpointError(f"checkpoint {path!r} is corrupt: {exc}") from exc
+        raise CorruptCheckpointError(
+            f"checkpoint {path!r} is corrupt: {exc}"
+        ) from exc
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-        raise CheckpointError(f"{path!r} is not an F-DETA checkpoint")
+        raise CorruptCheckpointError(f"{path!r} is not an F-DETA checkpoint")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

@@ -176,7 +176,3 @@ class BreakerBoard:
         for breaker in self.breakers.values():
             counts[breaker.state] += 1
         return counts
-
-    def total_trips(self) -> int:
-        """Lifetime trip events across the whole board."""
-        return sum(b.trip_count for b in self.breakers.values())

@@ -1426,20 +1426,6 @@ class ElasticFleet:
             if self._workers[name].monitor is not None
         }
 
-    def model_versions(self) -> dict[str, int | None]:
-        """Active integrity-model version per live shard.
-
-        ``None`` for shards running outside integrity mode or before
-        their first promotion.  A fleet whose shards disagree on model
-        versions is not wrong — each shard trains on its own consumers
-        — but a shard whose version suddenly *drops* rolled back, and
-        the health plane surfaces that as shard evidence.
-        """
-        return {
-            name: service.model_version()
-            for name, service in self.services().items()
-        }
-
     def weekly_reports(self) -> dict[str, list["MonitoringReport"]]:
         """Per-shard report streams, retired shards included."""
         streams = {

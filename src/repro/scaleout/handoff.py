@@ -279,11 +279,14 @@ class FencedMonitor:
         )
 
     def checkpoint_now(self) -> None:
-        """Sync the WAL and checkpoint the service at the current cycle.
+        """Checkpoint the service at the current cycle (WAL synced first).
 
-        The snapshot phase of a handoff: after this, the shard's durable
-        state is self-contained up to the quiesced cycle and the WAL has
-        been compacted to it.
+        The checkpoint of every handoff phase.  Releases and adoptions
+        become durable only through a checkpoint, never through the WAL,
+        so the post-move state lands in *both* generations: a recovery
+        that falls back to ``.prev`` must not resurrect the pre-move
+        roster.  After this the shard's durable state is self-contained
+        up to the quiesced cycle and the WAL has been compacted to it.
         """
         self._check_fence()
         inner = self.inner
@@ -292,11 +295,8 @@ class FencedMonitor:
                 f"shard {self.shard!r} has no checkpoint path; snapshot "
                 "handoff requires checkpointing workers"
             )
-        inner.wal.sync()
-        inner.service.checkpoint(inner.checkpoint_path)
-        inner.wal.mark_checkpoint(inner.service.cycles_ingested)
-        inner._checkpoint_cycles.append(inner.service.cycles_ingested)
-        inner.wal.compact(inner._compaction_horizon())
+        inner.checkpoint()
+        inner.checkpoint()
 
     def close(self) -> None:
         self.inner.close()

@@ -12,8 +12,9 @@ transient retries (:func:`~repro.storage.io.retry_io`), the shared
 atomic-write helpers (:func:`~repro.storage.io.atomic_write_json`),
 disk-full degraded read-only mode (in
 :class:`~repro.durability.recovery.DurableTheftMonitor`), and the
-checkpoint scrubber (:mod:`repro.storage.scrub` — imported explicitly,
-not re-exported here, because it sits above the durability layer).
+checkpoint-generation fallback in
+:func:`~repro.durability.recovery.recover_monitor`, which survives
+at-rest bit-rot of the current checkpoint.
 """
 
 from repro.storage.faults import (

@@ -167,17 +167,21 @@ class TestDurableTheftMonitor:
     def test_weekly_checkpoint_and_compaction(self, tmp_path):
         ckpt = tmp_path / "ckpt.bin"
         wal = WriteAheadLog(tmp_path / "wal", segment_max_bytes=4096)
+        first = str(tmp_path / "wal" / "wal-00000001.seg")
         with DurableTheftMonitor(
             _service(), wal, checkpoint_path=ckpt
         ) as monitor:
             for t in range(SLOTS_PER_WEEK + 5):
                 monitor.ingest_cycle(_readings(t))
             assert ckpt.exists()
-            # Compaction ran at the week boundary: the oldest segments
-            # (covered by the checkpoint) are gone.
-            assert wal.segments()[0] != str(
-                tmp_path / "wal" / "wal-00000001.seg"
-            )
+            # Compaction lags one generation: the log must still replay
+            # a fallback to ``.prev``, so nothing is dropped yet.
+            assert wal.segments()[0] == first
+            for t in range(SLOTS_PER_WEEK + 5, 2 * SLOTS_PER_WEEK + 5):
+                monitor.ingest_cycle(_readings(t))
+            # The second boundary compacts what the first checkpoint
+            # (now the previous generation) covers.
+            assert wal.segments()[0] != first
 
 
 class TestCrashRecoveryEquivalence:

@@ -151,7 +151,6 @@ class TestDiskFullDegradedMode:
                 tmp_path / "wal", io=_faulty("wal.append:write@400=enospc")
             ),
             checkpoint_path=str(tmp_path / "service.ckpt"),
-            checkpoint_generations=2,
         )
         failed_at = None
         for t in range(WEEKS * SLOTS_PER_WEEK):

@@ -372,6 +372,36 @@ class TestMonitorElastic:
         )
         capsys.readouterr()
 
+    def test_fleet_quarantine_report_merges_every_shard(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        report = tmp_path / "q.json"
+        argv = self._base + [
+            "--weeks",
+            "2",
+            "--shards",
+            "2",
+            "--corrupt-rate",
+            "0.01",
+            "--wal-dir",
+            str(tmp_path / "fleet"),
+            "--quarantine-report",
+            str(report),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        printed = next(
+            int(line.split(":")[1])
+            for line in out.splitlines()
+            if line.startswith("quarantined readings:")
+        )
+        loaded = json.loads(report.read_text())
+        assert printed > 0
+        assert loaded["total"] == printed
+        assert sum(loaded["by_reason"].values()) == printed
+
     def test_elastic_grow_matches_single_service_verdicts(
         self, tmp_path, capsys
     ):
@@ -595,6 +625,45 @@ class TestMonitorEventTime:
         assert "verdict revisions:" in out
         loaded = json.loads(revisions.read_text())
         assert set(loaded) >= {"total", "by_kind", "revisions"}
+
+    def test_smoke_arguments_train_and_alert_under_loss(
+        self, tmp_path, capsys
+    ):
+        # Readings are lost at the default --drop-rate, so hardly any
+        # consumer-week arrives gap-free; finalized weeks keep their
+        # repair, so detectors still train and score.
+        log = tmp_path / "events.jsonl"
+        argv = [
+            "monitor",
+            "--consumers",
+            "4",
+            "--weeks",
+            "6",
+            "--seed",
+            "11",
+            "--min-training-weeks",
+            "3",
+            "--retrain-every-weeks",
+            "2",
+            "--eventtime",
+            "--lateness-bound",
+            "48",
+            "--grace-weeks",
+            "1",
+            "--scramble-delay",
+            "0",
+            "--log-json",
+            str(log),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        total = next(
+            int(line.split(":")[1])
+            for line in out.splitlines()
+            if line.startswith("total alerts:")
+        )
+        assert total > 0
+        assert '"detectors_trained"' in log.read_text()
 
     def test_scrambled_final_verdicts_match_in_order(self, capsys):
         def final_section(argv):

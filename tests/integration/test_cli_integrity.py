@@ -177,6 +177,22 @@ class TestValidation:
         assert main(["monitor", "--integrity", "--model-rollback", "1"]) == 2
         assert "requires --resume or --recover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--eventtime", "--recover"],
+            ["--shards", "2", "--resume"],
+            ["--elastic", "--recover"],
+        ],
+    )
+    def test_model_rollback_needs_single_service(self, tmp_path, mode, capsys):
+        argv = ["monitor", "--integrity", "--model-rollback", "1", *mode]
+        assert main(argv + ["--wal-dir", str(tmp_path / "w")]) == 2
+        assert (
+            "--model-rollback needs the single-service monitor"
+            in capsys.readouterr().err
+        )
+
     def test_training_window_floor(self, capsys):
         assert main(["monitor", "--training-window", "1"]) == 2
         assert "--training-window must be >= 2" in capsys.readouterr().err

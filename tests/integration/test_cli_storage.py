@@ -1,6 +1,8 @@
-"""CLI storage-fault robustness: injection, degraded exits, scrub, exports."""
+"""CLI storage-fault robustness: injection, degraded exits, corrupt
+checkpoints, exports."""
 
 import json
+import shutil
 
 from repro.cli import main
 
@@ -38,16 +40,6 @@ class TestUsageErrors:
         assert code == 2
         assert "--storage-faults" in capsys.readouterr().err
 
-    def test_scrub_requires_wal_and_checkpoint(self, tmp_path, capsys):
-        assert main(_BASE + ["--scrub"]) == 2
-        assert (
-            main(_BASE + ["--scrub", "--wal-dir", str(tmp_path / "w")]) == 2
-        )
-        capsys.readouterr()
-
-    def test_generations_must_be_positive(self, capsys):
-        assert main(_BASE + ["--checkpoint-generations", "0"]) == 2
-        capsys.readouterr()
 
 
 class TestFaultInjectionRuns:
@@ -96,65 +88,65 @@ class TestFaultInjectionRuns:
         assert "storage faults injected: 2/2" in captured.err
 
 
+def _without_checkpoint_line(out):
+    return [line for line in out.splitlines() if not line.startswith("checkpoint:")]
+
+
 class TestScrubCLI:
+    """``--recover`` survives a corrupt checkpoint with no extra flag."""
+
     def test_corrupt_checkpoint_is_repaired_and_verdicts_match(
         self, tmp_path, capsys
     ):
-        ckpt = tmp_path / "monitor.ckpt"
-        durable = _BASE + [
-            "--wal-dir",
-            str(tmp_path / "wal"),
-            "--checkpoint",
-            str(ckpt),
-            "--checkpoint-generations",
-            "2",
-        ]
-        assert main(durable) == 0
-        baseline = capsys.readouterr().out
-        _corrupt(ckpt)
-        assert main(durable + ["--scrub", "--recover"]) == 0
-        captured = capsys.readouterr()
-        repaired = captured.out
-        assert "scrub: current checkpoint" in captured.err
-        assert "(repaired: rebuilt from previous generation" in captured.err
-        assert "scrub: 2 generation(s) checked, 1 corrupt, 1 repaired" in (
-            captured.err
+        durable = _BASE + ["--wal-dir", str(tmp_path / "wal")]
+        assert main(durable + ["--checkpoint", str(tmp_path / "m.ckpt")]) == 0
+        capsys.readouterr()
+        # An undisturbed twin of the durable state to recover alongside.
+        shutil.copytree(tmp_path / "wal", tmp_path / "twin_wal")
+        for suffix in ("", ".prev"):
+            shutil.copy(tmp_path / f"m.ckpt{suffix}", tmp_path / f"t.ckpt{suffix}")
+        _corrupt(tmp_path / "m.ckpt")
+        longer = ["--weeks", "6"]
+        assert (
+            main(
+                _BASE
+                + longer
+                + ["--wal-dir", str(tmp_path / "twin_wal")]
+                + ["--checkpoint", str(tmp_path / "t.ckpt"), "--recover"]
+            )
+            == 0
+        )
+        undisturbed = capsys.readouterr()
+        assert "(current checkpoint generation," in undisturbed.err
+        assert (
+            main(
+                durable
+                + longer
+                + ["--checkpoint", str(tmp_path / "m.ckpt"), "--recover"]
+            )
+            == 0
+        )
+        repaired = capsys.readouterr()
+        assert "(previous checkpoint generation," in repaired.err
+        assert "week   5:" in repaired.out
+        assert _without_checkpoint_line(repaired.out) == (
+            _without_checkpoint_line(undisturbed.out)
         )
 
-        def summary(out, prefix):
-            return [
-                line
-                for line in out.splitlines()
-                if line.startswith(prefix)
-            ]
-
-        # The repaired resume lands on the undisturbed run's verdicts.
-        for prefix in (
-            "total alerts",
-            "suspected attackers",
-            "suspected victims",
-        ):
-            assert summary(repaired, prefix) == summary(baseline, prefix)
-
     def test_clean_checkpoints_scrub_ok(self, tmp_path, capsys):
-        ckpt = tmp_path / "monitor.ckpt"
         durable = _BASE + [
             "--wal-dir",
             str(tmp_path / "wal"),
             "--checkpoint",
-            str(ckpt),
-            "--checkpoint-generations",
-            "2",
+            str(tmp_path / "monitor.ckpt"),
         ]
         assert main(durable) == 0
         capsys.readouterr()
-        assert main(durable + ["--scrub", "--recover"]) == 0
+        assert main(durable + ["--recover"]) == 0
         err = capsys.readouterr().err
-        assert "scrub: 2 generation(s) checked, 0 corrupt, 0 repaired" in err
+        assert "(current checkpoint generation, 0 WAL cycle(s) replayed)" in err
 
-    def test_unrepairable_checkpoint_exits_1(self, tmp_path, capsys):
-        import os
-
+    def test_unrepairable_checkpoint_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "monitor.ckpt"
         assert (
             main(
@@ -169,12 +161,10 @@ class TestScrubCLI:
             == 0
         )
         capsys.readouterr()
-        # Corrupt current, no previous generation, and the WAL gone
-        # missing: nothing left to rebuild from.
+        # Both generations corrupt and the WAL gone missing: nothing
+        # left to rebuild from.
         _corrupt(ckpt)
-        prev = f"{ckpt}.prev"
-        if os.path.exists(prev):
-            os.unlink(prev)
+        _corrupt(f"{ckpt}.prev")
         code = main(
             _BASE
             + [
@@ -182,12 +172,49 @@ class TestScrubCLI:
                 str(tmp_path / "vanished"),
                 "--checkpoint",
                 str(ckpt),
-                "--scrub",
                 "--recover",
             ]
         )
-        assert code == 1
-        assert "could not repair" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "recovery failed:" in err
+        assert "Traceback" not in err
+
+    def test_resume_from_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "monitor.ckpt"
+        assert main(_BASE + ["--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        _corrupt(ckpt)
+        assert main(_BASE + ["--checkpoint", str(ckpt), "--resume"]) == 2
+        assert "recovery failed:" in capsys.readouterr().err
+
+    def test_corrupt_shard_checkpoint_reopens_identically(
+        self, tmp_path, capsys
+    ):
+        fleet = _BASE + ["--consumers", "4", "--shards", "2"]
+        assert main(fleet + ["--wal-dir", str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        shutil.copytree(tmp_path / "fleet", tmp_path / "twin")
+        _corrupt(tmp_path / "fleet" / "shard-0000.ckpt")
+        longer = ["--weeks", "7"]
+        assert main(fleet + longer + ["--wal-dir", str(tmp_path / "twin")]) == 0
+        undisturbed = capsys.readouterr().out
+        assert main(fleet + longer + ["--wal-dir", str(tmp_path / "fleet")]) == 0
+        reopened = capsys.readouterr().out
+        assert "week   6:" in reopened
+        assert reopened == undisturbed
+
+    def test_unusable_shard_checkpoints_exit_2(self, tmp_path, capsys):
+        fleet = _BASE + ["--shards", "2", "--wal-dir", str(tmp_path / "f")]
+        assert main(fleet) == 0
+        capsys.readouterr()
+        _corrupt(tmp_path / "f" / "shard-0001.ckpt")
+        _corrupt(tmp_path / "f" / "shard-0001.ckpt.prev")
+        shutil.rmtree(tmp_path / "f" / "shard-0001")
+        assert main(fleet) == 2
+        err = capsys.readouterr().err
+        assert "recovery failed:" in err
+        assert "Traceback" not in err
 
 
 class TestExportsDegradeUnderENOSPC:

@@ -282,3 +282,45 @@ class TestColdStart:
                 fleet.ingest_cycle(readings(t))
             assert fleet.merged_signature() == expected
             assert [r.week_index for r in fleet.merged_reports()] == [0, 1, 2]
+
+    def test_corrupt_checkpoint_after_handoff_keeps_manifest_rosters(
+        self, tmp_path
+    ):
+        """Releases and adoptions reach disk only through checkpoints,
+        so a reopen that falls back to ``.prev`` right after a live
+        rebalance must still see the post-move rosters."""
+        import json
+
+        fleet = _fleet(tmp_path)
+        for t in range(SLOTS_PER_WEEK):
+            fleet.ingest_cycle(readings(t))
+        before = {w.name: set(w.consumers) for w in fleet.workers()}
+        fleet.add_shard()
+        moved_from = sorted(
+            name
+            for name, members in before.items()
+            if members - set(fleet._worker(name).consumers)
+        )
+        assert moved_from
+        for t in range(SLOTS_PER_WEEK, SLOTS_PER_WEEK + 20):
+            fleet.ingest_cycle(readings(t))
+        fleet.close()
+        for name in fleet.shards:
+            path = tmp_path / f"{name}.ckpt"
+            data = bytearray(path.read_bytes())
+            data[100] ^= 0xFF
+            path.write_bytes(bytes(data))
+
+        manifest = json.loads((tmp_path / ElasticFleet.MANIFEST).read_text())
+        with ElasticFleet(
+            (), tmp_path, service_factory, detector_factory
+        ) as reopened:
+            assert reopened.cycle == SLOTS_PER_WEEK + 20
+            for name, entry in manifest["shards"].items():
+                assert reopened.service(name).roster == tuple(
+                    entry["consumers"]
+                ), name
+            totals = reopened.merged_metrics().totals()
+            assert totals[
+                ("fdeta_storage_checkpoint_corruptions_total", ())
+            ] == len(manifest["shards"])

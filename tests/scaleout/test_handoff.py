@@ -138,10 +138,11 @@ class TestFencing:
             assert os.path.exists(tmp_path / "shard-0000.ckpt")
         finally:
             monitor.close()
-        restored = TheftMonitoringService.restore(
-            tmp_path / "shard-0000.ckpt", _factory
-        )
-        assert restored.cycles_ingested == 5
+        # Both generations hold the handoff state, so a fallback to
+        # ``.prev`` cannot resurrect a pre-handoff roster.
+        for name in ("shard-0000.ckpt", "shard-0000.ckpt.prev"):
+            restored = TheftMonitoringService.restore(tmp_path / name, _factory)
+            assert restored.cycles_ingested == 5
 
     def test_checkpoint_now_requires_checkpoint_path(self, tmp_path):
         service = _service()

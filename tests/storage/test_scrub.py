@@ -1,6 +1,12 @@
-"""Checkpoint scrub-and-repair: corruption found, repaired, verdicts kept."""
+"""Checkpoint corruption: detected by the footer, survived by recovery.
+
+A corrupt current checkpoint is never loaded; ``recover_monitor`` falls
+back to the previous generation and replays the WAL forward from it,
+landing on the verdicts an undisturbed run produced.
+"""
 
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -10,17 +16,17 @@ from repro.core.kld import KLDDetector
 from repro.core.online import TheftMonitoringService
 from repro.durability.recovery import DurableTheftMonitor, recover_monitor
 from repro.durability.wal import WriteAheadLog
-from repro.errors import CheckpointError, ScrubError
-from repro.observability.metrics import MetricsRegistry
+from repro.errors import CheckpointError, ConfigurationError, RecoveryError
+from repro.observability.events import EventLogger
 from repro.quarantine import FirewallPolicy, ReadingFirewall
 from repro.resilience.checkpoint import (
+    _seal,
     load_checkpoint,
     previous_generation_path,
     save_checkpoint,
     verify_checkpoint,
 )
 from repro.resilience.config import ResilienceConfig
-from repro.storage.scrub import CheckpointScrubber
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 CONSUMERS = ("c1", "c2", "c3")
@@ -54,7 +60,7 @@ def _signature(service):
     ]
 
 
-def _run_durable(tmp_path, generations=2, weeks=WEEKS, segment_bytes=1 << 20):
+def _run_durable(tmp_path, weeks=WEEKS, segment_bytes=1 << 20):
     """Run ``weeks`` through a durable monitor; returns (ckpt, wal_dir)."""
     ckpt = str(tmp_path / "service.ckpt")
     wal_dir = str(tmp_path / "wal")
@@ -62,7 +68,6 @@ def _run_durable(tmp_path, generations=2, weeks=WEEKS, segment_bytes=1 << 20):
         _service(),
         WriteAheadLog(wal_dir, segment_max_bytes=segment_bytes),
         checkpoint_path=ckpt,
-        checkpoint_generations=generations,
     )
     for t in range(weeks * SLOTS_PER_WEEK):
         monitor.ingest_cycle(_readings(t))
@@ -119,87 +124,104 @@ class TestVerifyCheckpoint:
         assert previous == first
 
 
-class TestScrubClean:
-    def test_clean_generations_report_ok(self, tmp_path):
-        ckpt, wal_dir = _run_durable(tmp_path)
-        metrics = MetricsRegistry()
-        report = CheckpointScrubber(
-            ckpt, wal_dir, detector_factory=_factory, metrics=metrics
-        ).scrub()
-        assert report.ok
-        assert report.checked == 2
-        assert report.corrupt == 0
-        totals = metrics.totals()
-        assert totals[("fdeta_storage_scrubs_total", ())] == 1.0
-        assert (
-            "fdeta_storage_checkpoint_corruptions_total",
-            (),
-        ) not in totals
-
-
 class TestScrubRepair:
+    """``recover_monitor`` survives a corrupt current generation."""
+
     def test_corrupt_current_is_rebuilt_with_identical_verdicts(
         self, tmp_path
     ):
         ckpt, wal_dir = _run_durable(tmp_path)
         _corrupt(ckpt)
-        metrics = MetricsRegistry()
-        report = CheckpointScrubber(
-            ckpt, wal_dir, detector_factory=_factory, metrics=metrics
-        ).scrub()
-        assert report.corrupt == 1 and report.repaired == 1
+        log = tmp_path / "events.jsonl"
+        events = EventLogger(path=str(log))
+        result = recover_monitor(
+            wal_dir,
+            detector_factory=_factory,
+            checkpoint_path=ckpt,
+            service_factory=_service,
+            events=events,
+        )
+        assert result.generation == "previous"
+        assert result.replayed_cycles == SLOTS_PER_WEEK
+        # The previous generation plus WAL replay lands on the exact
+        # verdicts an undisturbed run produced.
+        assert _signature(result.service) == _baseline_signature()
+        totals = result.service.metrics.totals()
+        assert totals[("fdeta_storage_checkpoint_corruptions_total", ())] == 1
+
+        # The next checkpoint heals the file, and the corrupt bytes are
+        # never promoted over the good previous generation.
+        previous = Path(previous_generation_path(ckpt)).read_bytes()
+        monitor = DurableTheftMonitor(
+            result.service, WriteAheadLog(wal_dir), checkpoint_path=ckpt
+        )
+        for t in range(WEEKS * SLOTS_PER_WEEK, (WEEKS + 1) * SLOTS_PER_WEEK):
+            monitor.ingest_cycle(_readings(t))
+        monitor.close()
+        events.close()
+        assert '"checkpoint_fallback"' in log.read_text()
         assert verify_checkpoint(ckpt) == "ok"
-        totals = metrics.totals()
-        assert totals[("fdeta_storage_checkpoint_repairs_total", ())] == 1.0
-        # The repaired checkpoint plus WAL recovers the exact verdicts
-        # an undisturbed run produced.
+        assert Path(previous_generation_path(ckpt)).read_bytes() == previous
+
+    def test_repair_without_previous_needs_service_factory(self, tmp_path):
+        ckpt, wal_dir = _run_durable(tmp_path)
+        _corrupt(ckpt)
+        os.unlink(previous_generation_path(ckpt))
+        with pytest.raises(ConfigurationError, match="service_factory"):
+            recover_monitor(wal_dir, detector_factory=_factory, checkpoint_path=ckpt)
+        # With a factory the WAL alone rebuilds it: the log fits in one
+        # never-compacted segment, so the replay covers from cycle zero.
         result = recover_monitor(
             wal_dir,
             detector_factory=_factory,
             checkpoint_path=ckpt,
             service_factory=_service,
         )
+        assert result.generation is None
+        assert result.replayed_cycles == WEEKS * SLOTS_PER_WEEK
         assert _signature(result.service) == _baseline_signature()
 
-    def test_repair_without_previous_needs_service_factory(self, tmp_path):
-        ckpt, wal_dir = _run_durable(tmp_path, generations=3)
-        _corrupt(ckpt)
-        os.unlink(previous_generation_path(ckpt))
-        with pytest.raises(ScrubError, match="service_factory"):
-            CheckpointScrubber(
-                ckpt, wal_dir, detector_factory=_factory
-            ).scrub()
-        # With a factory the WAL alone rebuilds it (generations=3 kept
-        # the full log, so the replay covers from cycle zero).
-        report = CheckpointScrubber(
-            ckpt,
-            wal_dir,
-            detector_factory=_factory,
-            service_factory=_service,
-        ).scrub()
-        assert report.repaired == 1
-        assert verify_checkpoint(ckpt) == "ok"
-
     def test_unrepairable_when_wal_does_not_cover_the_gap(self, tmp_path):
-        # generations=1 compacts to the *current* checkpoint, so once it
-        # corrupts, the previous generation plus the remaining WAL has a
-        # hole — exactly the failure mode generations>=2 exists to stop.
+        # Both generations corrupt: only a full replay could rebuild,
+        # and compaction already dropped the log before ``.prev``.
         # Small segments force rotations so compaction actually drops
         # the covered cycles (one big active segment is never removed).
-        ckpt, wal_dir = _run_durable(
-            tmp_path, generations=1, segment_bytes=4096
-        )
+        ckpt, wal_dir = _run_durable(tmp_path, segment_bytes=4096)
         _corrupt(ckpt)
-        with pytest.raises(ScrubError, match="checkpoint_generations"):
-            CheckpointScrubber(
-                ckpt, wal_dir, detector_factory=_factory
-            ).scrub()
+        _corrupt(previous_generation_path(ckpt))
+        with pytest.raises(RecoveryError, match="WAL gap"):
+            recover_monitor(
+                wal_dir,
+                detector_factory=_factory,
+                checkpoint_path=ckpt,
+                service_factory=_service,
+            )
 
-    def test_scrub_without_repair_only_reports(self, tmp_path):
-        ckpt, wal_dir = _run_durable(tmp_path)
+    def test_wal_always_covers_the_previous_generation(self, tmp_path):
+        # Compaction lags one generation with no option: the same small
+        # segments that lose a two-generation corruption still replay
+        # ``.prev`` forward.
+        ckpt, wal_dir = _run_durable(tmp_path, segment_bytes=4096)
         _corrupt(ckpt)
-        report = CheckpointScrubber(
-            ckpt, wal_dir, detector_factory=_factory
-        ).scrub(repair=False)
-        assert report.corrupt == 1 and report.repaired == 0
-        assert verify_checkpoint(ckpt) == "corrupt"
+        result = recover_monitor(
+            wal_dir,
+            detector_factory=_factory,
+            checkpoint_path=ckpt,
+            service_factory=_service,
+        )
+        assert result.generation == "previous"
+        assert _signature(result.service) == _baseline_signature()
+
+    def test_version_mismatch_does_not_fall_back(self, tmp_path):
+        ckpt, wal_dir = _run_durable(tmp_path)
+        with open(ckpt, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["version"] = -1
+        Path(ckpt).write_bytes(_seal(pickle.dumps(payload)))
+        with pytest.raises(CheckpointError, match="version -1"):
+            recover_monitor(
+                wal_dir,
+                detector_factory=_factory,
+                checkpoint_path=ckpt,
+                service_factory=_service,
+            )
