@@ -1218,9 +1218,21 @@ def _run_monitor_fleet(
     channel = _monitor_channel(args)
     start_slot = fleet.cycle
     if start_slot:
+        # A shard whose current checkpoint was corrupt fell back to the
+        # previous generation: name it, or the lost generation would
+        # show only in the event log and the corruption counter.
+        fallbacks = [
+            w.name for w in fleet.workers() if w.generation == "previous"
+        ]
+        fallback_note = (
+            f"; previous checkpoint generation: {', '.join(fallbacks)}"
+            if fallbacks
+            else ""
+        )
         print(
             f"fleet resumed at cycle {start_slot} "
-            f"({len(fleet.shards)} shard(s) recovered from {args.wal_dir})",
+            f"({len(fleet.shards)} shard(s) recovered from {args.wal_dir}"
+            f"{fallback_note})",
             file=sys.stderr,
         )
     grow_cycle = (

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.core.framework import AnomalyNature, ConsumerAssessment, FDetaFramework
-from repro.data.preprocessing import interpolate_gaps, observed_fraction
+from repro.data.preprocessing import observed_fraction, repair_gaps
 from repro.detectors.base import WeeklyDetector
 from repro.errors import ConfigurationError, DataError, NonFiniteInputError
 from repro.eventtime.config import EventTimeConfig
@@ -73,6 +73,11 @@ _SEVERITY_BANDS = ((1.5, "marginal"), (3.0, "elevated"))
 #: Histogram buckets (in slots) for how far behind the release cursor
 #: late readings arrive — up to two weeks, the widest sane grace window.
 _LATE_SLOT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 48.0, 96.0, 168.0, 336.0, 672.0)
+
+
+def _coverage(block: np.ndarray) -> list[float]:
+    """Each row's observed fraction (the week's coverage)."""
+    return np.isfinite(block).mean(axis=1).tolist()
 
 
 def _severity_band(severity: float) -> str:
@@ -466,11 +471,11 @@ class TheftMonitoringService:
         return report
 
     def _ingest(self, screened: Mapping[str, float]) -> None:
-        """Append one screened cycle in roster order.
+        """Append one screened cycle as one store column in roster order.
 
         Every value in ``screened`` passed the firewall, so it is
         already finite, non-negative and in range; an absent consumer
-        is a gap.
+        is a gap (NaN in the column).
         """
         unknown = screened.keys() - self._population
         if unknown:
@@ -488,16 +493,16 @@ class TheftMonitoringService:
             "Circuit-breaker state transitions.",
             labels=("from_state", "to_state"),
         )
-        store, breakers = self.store, self._breakers
-        gaps = 0
-        for cid in self._roster:
-            value = screened.get(cid)
-            valid = value is not None
-            if valid:
-                store.append(cid, value)
-            else:
-                store.append_gap(cid)
-                gaps += 1
+        roster, breakers = self._roster, self._breakers
+        column = np.fromiter(
+            (screened.get(cid, math.nan) for cid in roster),
+            dtype=float,
+            count=len(roster),
+        )
+        self.store.append_column(roster, column)
+        observed = ~np.isnan(column)
+        gaps = len(roster) - int(np.count_nonzero(observed))
+        for cid, valid in zip(roster, observed.tolist()):
             breaker = breakers.breaker(cid)
             before = breaker.state
             after = breaker.record(valid)
@@ -868,9 +873,12 @@ class TheftMonitoringService:
             # roster consumer is repaired (breaker state depends on
             # delivery order and must not decide what trains).
             final = week_index - self.eventtime.grace_weeks
-            if final >= 0:
-                for cid in self._roster:
-                    self._repaired_week(cid, final, persist=True)
+            if final >= 0 and self._roster:
+                self.store.write_week_block(
+                    self._roster,
+                    final,
+                    self._repaired(self.store.week_block(self._roster, final)),
+                )
         if self._framework is None:
             # Weeks up to (and including) the first training week are
             # history, not candidates: nothing is assessed.
@@ -981,39 +989,30 @@ class TheftMonitoringService:
         self, report: MonitoringReport, week_index: int
     ) -> None:
         """Record coverage/quarantine even before detectors exist."""
-        quarantined = []
-        for cid in self._roster:
-            if not self._breakers.allows_scoring(cid):
-                quarantined.append(cid)
-                continue
-            week = self._repaired_week(cid, week_index)
-            report.coverage[cid] = observed_fraction(week)
-        report.quarantined = tuple(quarantined)
+        allowed = self._breakers.allows_scoring
+        scored = [cid for cid in self._roster if allowed(cid)]
+        report.quarantined = tuple(
+            cid for cid in self._roster if not allowed(cid)
+        )
+        if not scored:
+            return
+        repaired = self._repaired(self.store.week_block(scored, week_index))
+        report.coverage.update(zip(scored, _coverage(repaired)))
+        if self.eventtime is None:
+            self.store.write_week_block(scored, week_index, repaired)
 
-    def _repaired_week(
-        self,
-        consumer_id: str,
-        week_index: int,
-        persist: bool | None = None,
-    ) -> np.ndarray:
-        """One consumer's week, with short gaps repaired.
+    def _repaired(self, block: np.ndarray) -> np.ndarray:
+        """A ``(consumers, slots)`` week block with short gaps repaired.
 
-        The repair is written back to the store when ``persist`` says
-        so; by default only outside event-time mode, where an
-        interpolated slot must stay a NaN gap until its week finalizes
-        so a late true reading can still be reconciled into it.
+        Nothing is written back: the caller decides.  Outside
+        event-time mode a scored week's repair is persisted so training
+        and checkpoints see it; in event-time mode an interpolated slot
+        must stay a NaN gap until its week finalizes, so a late true
+        reading can still be reconciled into it.
         """
-        if persist is None:
-            persist = self.eventtime is None
-        week = self.store.week(consumer_id, week_index)
-        isnan = np.isnan(week)
-        if isnan.any() and not isnan.all() and self.resilience.max_repair_gap > 0:
-            week = interpolate_gaps(
-                week, max_gap=self.resilience.max_repair_gap
-            )
-            if persist:
-                self.store.overwrite_week(consumer_id, week_index, week)
-        return week
+        if self.resilience.max_repair_gap > 0:
+            return repair_gaps(block, self.resilience.max_repair_gap)
+        return block
 
     def _emit_alert(
         self,
@@ -1065,14 +1064,6 @@ class TheftMonitoringService:
             and self.backpressure.engaged_ticks
             >= self.loadcontrol.pressure_shed_after
         )
-
-    def _shed_coverage(
-        self, report: MonitoringReport, consumer_id: str, week_index: int
-    ) -> None:
-        """A shed week still gets its coverage counted (cheap, no
-        repair, no scoring) so it reconciles as an explicit gap."""
-        week = self.store.week(consumer_id, week_index)
-        report.coverage[consumer_id] = observed_fraction(week)
 
     def _assess_single(
         self,
@@ -1155,23 +1146,37 @@ class TheftMonitoringService:
             order = self._shedder.order(self._roster, tiers)
             if self._pressure_sustained():
                 pre_shed = self._shedder.pressure_shed(order, tiers)
+        allowed = self._breakers.allows_scoring
+        candidates = [cid for cid in order if allowed(cid)]
+        # One block read and one repair for every consumer the pass may
+        # reach.  A shed week still gets its coverage counted from the
+        # raw block (no repair, no scoring) so it reconciles as an
+        # explicit gap; only scored weeks have their repair persisted.
+        raw = self.store.week_block(candidates, week_index)
+        repaired = self._repaired(raw)
+        raw_coverage = _coverage(raw)
+        repaired_coverage = _coverage(repaired)
+        scored: list[int] = []
+        row = -1
         for cid in order:
-            if not self._breakers.allows_scoring(cid):
+            if not allowed(cid):
                 quarantined.append(cid)
                 continue
+            row += 1
             if cid in pre_shed:
                 pressure_shed[cid] = tiers[cid]
-                self._shed_coverage(report, cid, week_index)
+                report.coverage[cid] = raw_coverage[row]
                 continue
             if shedding and deadline is not None and deadline.expired:
                 # Budget gone: the rest of the pass degrades to counted
                 # gaps.  Under PRIORITY ordering the suspects have
                 # already been scored by the time this fires.
                 deadline_shed[cid] = tiers[cid]
-                self._shed_coverage(report, cid, week_index)
+                report.coverage[cid] = raw_coverage[row]
                 continue
-            week = self._repaired_week(cid, week_index)
-            coverage = observed_fraction(week)
+            scored.append(row)
+            week = repaired[row]
+            coverage = repaired_coverage[row]
             report.coverage[cid] = coverage
             assessment, suppress = self._assess_single(
                 self._framework, cid, week_index, week, coverage
@@ -1183,6 +1188,12 @@ class TheftMonitoringService:
                 self._emit_alert(report, week_index, assessment, balance_failed)
         report.suppressed = tuple(suppressed)
         report.quarantined = tuple(quarantined)
+        if scored and self.eventtime is None:
+            self.store.write_week_block(
+                [candidates[row] for row in scored],
+                week_index,
+                repaired[scored],
+            )
         if pressure_shed or deadline_shed:
             assert self._shedder is not None
             report.shed = tuple(sorted({**pressure_shed, **deadline_shed}))
@@ -1255,8 +1266,7 @@ class TheftMonitoringService:
             "arrive.",
             buckets=_LATE_SLOT_BUCKETS,
         ).observe(float(self._slot_count - slot))
-        series = self.store._series[consumer_id]
-        if slot < len(series) and series[slot] == value:
+        if self.store.reading(consumer_id, slot) == value:
             # The exact value is already in place (duplicate delivery of
             # an already-reconciled reading): converged, nothing to do.
             outcomes.inc(outcome="noop")
@@ -1283,7 +1293,8 @@ class TheftMonitoringService:
             # scored, and one late value must not conjure a verdict now.
             outcomes.inc(outcome="quarantined")
             return None
-        week = self._repaired_week(consumer_id, week_index)
+        block = self.store.week_block((consumer_id,), week_index)
+        week = self._repaired(block)[0]
         coverage = observed_fraction(week)
         coverage_before = report.coverage.get(consumer_id)
         report.coverage[consumer_id] = coverage
@@ -1472,7 +1483,11 @@ class TheftMonitoringService:
             raise DataError(f"unknown consumer {consumer_id!r}")
         framework = self._framework
         return {
-            "series": list(self.store._series.get(consumer_id, ())),
+            "series": (
+                self.store.series(consumer_id).tolist()
+                if self.store.length(consumer_id)
+                else []
+            ),
             "breaker": self._breakers.breakers.get(consumer_id),
             "quarantined_weeks": set(
                 self._quarantined_weeks.get(consumer_id, ())
@@ -1508,7 +1523,7 @@ class TheftMonitoringService:
         )
         self._population = frozenset(remaining)
         self._roster = remaining
-        self.store._series.pop(consumer_id, None)
+        self.store.clear(consumer_id)
         self._breakers.breakers.pop(consumer_id, None)
         self._quarantined_weeks.pop(consumer_id, None)
         self._suspect_weeks.pop(consumer_id, None)
@@ -1535,7 +1550,7 @@ class TheftMonitoringService:
             raise ConfigurationError(
                 f"{consumer_id!r} is already on this shard"
             )
-        series = [float(value) for value in packet["series"]]
+        series = np.asarray(packet["series"], dtype=float)
         if len(series) != self._slot_count:
             raise DataError(
                 f"cannot adopt {consumer_id!r}: packet carries "
@@ -1546,7 +1561,7 @@ class TheftMonitoringService:
             self._set_population((consumer_id,))
         else:
             self._set_population((*self._roster, consumer_id))
-        self.store._series[consumer_id] = series
+        self.store.load(consumer_id, series)
         breaker = packet.get("breaker")
         if breaker is not None:
             self._breakers.breakers[consumer_id] = breaker
@@ -1636,10 +1651,7 @@ class TheftMonitoringService:
             "min_training_weeks": self.min_training_weeks,
             "retrain_every_weeks": self.retrain_every_weeks,
             "resilience": self.resilience,
-            "series": {
-                cid: list(values)
-                for cid, values in self.store._series.items()
-            },
+            "store": self.store.state_dict(),
             "slot_count": self._slot_count,
             "weeks_completed": self._weeks_completed,
             "weeks_at_last_training": self._weeks_at_last_training,
@@ -1729,8 +1741,13 @@ class TheftMonitoringService:
             pinned._detectors = dict(fw_state["detectors"])
             pinned._mean_distributions = dict(fw_state["mean_distributions"])
             service._scoring_frameworks[int(week)] = pinned
-        for cid, values in state["series"].items():
-            service.store._series[cid].extend(float(v) for v in values)
+        if "store" in state:
+            service.store.load_state(state["store"])
+        else:
+            # Written before the store was one matrix: a list of
+            # readings per consumer, in store order.
+            for cid, values in state["series"].items():
+                service.store.load(cid, values)
         service._slot_count = state["slot_count"]
         service._weeks_completed = state["weeks_completed"]
         service._weeks_at_last_training = state["weeks_at_last_training"]

@@ -29,46 +29,64 @@ def observed_fraction(series: np.ndarray) -> float:
     return float(np.isfinite(arr).mean())
 
 
+def repair_gaps(matrix: np.ndarray, max_gap: int = 4) -> np.ndarray:
+    """Linearly interpolate every row's NaN runs of up to ``max_gap`` slots.
+
+    One masked pass over a ``(rows, slots)`` matrix; returns a repaired
+    copy.  Each NaN slot finds the previous and next observed slot of
+    its row (a running ``maximum``/``minimum`` of observed indices); the
+    run between them is filled when it is at most ``max_gap`` long.  An
+    interior run is interpolated exactly as :func:`numpy.interp` does,
+    ``slope * (x - left) + fp[left]``; a leading or trailing run takes
+    the nearest reading.  Longer runs, and rows with no reading at all,
+    stay NaN.
+    """
+    if max_gap < 1:
+        raise ConfigurationError(f"max_gap must be >= 1, got {max_gap}")
+    out = np.array(matrix, dtype=float)
+    if out.ndim != 2:
+        raise DataError(f"expected a (rows, slots) matrix, got {out.ndim}-d")
+    gaps = np.isnan(out)
+    if not gaps.any():
+        return out
+    n_slots = out.shape[1]
+    slots = np.arange(n_slots)
+    prev = np.maximum.accumulate(np.where(gaps, -1, slots), axis=1)
+    after = np.minimum.accumulate(
+        np.where(gaps, n_slots, slots)[:, ::-1], axis=1
+    )[:, ::-1]
+    fill = (
+        gaps
+        & (after - prev - 1 <= max_gap)
+        & ((prev >= 0) | (after < n_slots))
+    )
+    rows, cols = np.nonzero(fill)
+    left, right = prev[rows, cols], after[rows, cols]
+    interior = (left >= 0) & (right < n_slots)
+    # A leading run reads its right neighbour, a trailing one its left.
+    left = np.where(left >= 0, left, right)
+    right = np.where(right < n_slots, right, left)
+    low, high = out[rows, left], out[rows, right]
+    slope = (high - low) / np.where(interior, right - left, 1)
+    out[rows, cols] = np.where(interior, slope * (cols - left) + low, low)
+    return out
+
+
 def interpolate_gaps(
     series: np.ndarray, max_gap: int = 4
 ) -> np.ndarray:
     """Linearly interpolate NaN gaps of up to ``max_gap`` slots.
 
-    Longer gaps are left as NaN (the caller should drop or seed them);
-    leading/trailing NaNs are filled with the nearest valid reading when
-    within ``max_gap``.
+    The one-row case of :func:`repair_gaps`.  Longer gaps are left as
+    NaN (the caller should drop or seed them); leading/trailing NaNs are
+    filled with the nearest valid reading when within ``max_gap``.
     """
     if max_gap < 1:
         raise ConfigurationError(f"max_gap must be >= 1, got {max_gap}")
-    arr = np.asarray(series, dtype=float).ravel().copy()
-    isnan = np.isnan(arr)
-    if not isnan.any():
-        return arr
-    if isnan.all():
+    arr = np.asarray(series, dtype=float).ravel()
+    if arr.size and np.isnan(arr).all():
         raise DataError("series is entirely missing")
-    # Walk NaN runs.
-    run_start = None
-    for i in range(arr.size + 1):
-        missing = i < arr.size and isnan[i]
-        if missing and run_start is None:
-            run_start = i
-        elif not missing and run_start is not None:
-            run_len = i - run_start
-            if run_len <= max_gap:
-                left = run_start - 1
-                right = i if i < arr.size else None
-                if left < 0 and right is not None:
-                    arr[run_start:i] = arr[right]
-                elif right is None and left >= 0:
-                    arr[run_start:i] = arr[left]
-                elif left >= 0 and right is not None:
-                    arr[run_start:i] = np.interp(
-                        np.arange(run_start, i),
-                        [left, right],
-                        [arr[left], arr[right]],
-                    )
-            run_start = None
-    return arr
+    return repair_gaps(arr[np.newaxis], max_gap)[0]
 
 
 def clip_spikes(

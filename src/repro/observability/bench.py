@@ -84,9 +84,26 @@ class BenchTimer:
         self.elapsed = time.perf_counter() - self._start
 
 
+def _git(*args: str) -> str | None:
+    """stdout of one git command, or None when it fails."""
+    try:
+        out = subprocess.run(
+            ["git", *args],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def _git_sha() -> str | None:
     """The working tree's short git SHA (cached; None outside a repo).
 
+    A tree with uncommitted changes to tracked files is stamped
+    ``<sha>+dirty``: its figures were not measured on that commit.
     ``REPRO_GIT_SHA`` overrides the lookup — CI detached checkouts and
     containers without git stay attributable.
     """
@@ -97,17 +114,9 @@ def _git_sha() -> str | None:
     if override:
         _git_sha_cache = override
         return override
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-        sha = out.stdout.strip() if out.returncode == 0 else None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
+    sha = _git("rev-parse", "--short", "HEAD")
+    if sha and _git("status", "--porcelain", "--untracked-files=no"):
+        sha += "+dirty"
     _git_sha_cache = sha or None
     return _git_sha_cache
 

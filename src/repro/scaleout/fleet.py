@@ -83,6 +83,8 @@ from repro.scaleout.ring import (
 from repro.transport import InProcTransport, ShardClient, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    import numpy as np
+
     from repro.core.online import MonitoringReport, TheftMonitoringService
     from repro.detectors.base import WeeklyDetector
     from repro.eventtime.revision import RevisionLog
@@ -122,6 +124,10 @@ class ShardWorker:
     #: cannot reach it.  Cycles buffer in ``pending`` until a
     #: reconnection probe succeeds.
     unreachable: bool = False
+    #: Checkpoint generation the worker was last recovered from:
+    #: ``"current"``, ``"previous"`` (the current one was corrupt), or
+    #: ``None`` (started fresh or rebuilt from the WAL alone).
+    generation: str | None = None
 
     @property
     def alive(self) -> bool:
@@ -432,8 +438,10 @@ class ElasticFleet:
                 events=self.events,
             )
             service = result.service
+            worker.generation = result.generation
         else:
             service = self._fresh_service(worker.consumers)
+            worker.generation = None
         return self._wrap(service, worker)
 
     @property
@@ -1462,12 +1470,12 @@ class ElasticFleet:
         logs.extend(service.revisions for service in self._retired.values())
         return plane.merge_revisions(logs)
 
-    def reading_series(self) -> dict[str, list[float]]:
-        """Union of every active shard's reading store, by consumer."""
-        out: dict[str, list[float]] = {}
+    def reading_series(self) -> dict[str, np.ndarray]:
+        """Union of every active shard's reading store, by consumer
+        (each series a copy)."""
+        out: dict[str, np.ndarray] = {}
         for service in self.services().values():
-            for cid, series in service.store._series.items():
-                out[cid] = list(series)
+            out.update(service.store.items())
         return out
 
     def tracers(self) -> list:

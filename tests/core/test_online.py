@@ -1,5 +1,6 @@
 """Tests for the online theft-monitoring service."""
 
+import numpy as np
 import pytest
 
 from repro.core.framework import AnomalyNature
@@ -301,3 +302,68 @@ class TestGapTolerantMode:
         assert all(a.consumer_id != spotty for a in report.alerts)
         # The other consumers were scored normally.
         assert report.coverage[ids[1]] == 1.0
+
+
+class TestWeekCloseRepair:
+    """Week close repairs every scored consumer's week in one block."""
+
+    def _service(self, ids):
+        from repro.loadcontrol.config import LoadControlConfig, ShedPolicy
+
+        return TheftMonitoringService(
+            detector_factory=lambda: KLDDetector(significance=0.05),
+            min_training_weeks=6,
+            retrain_every_weeks=4,
+            population=ids,
+            loadcontrol=LoadControlConfig(shed_policy=ShedPolicy.UNIFORM),
+        )
+
+    def test_deadline_shed_consumers_keep_their_gaps(
+        self, consumer_series, monkeypatch
+    ):
+        """A deadline that expires mid-pass sheds the rest of the roster;
+        only the consumer scored before it has its repair persisted."""
+        from repro.loadcontrol.deadline import Deadline
+
+        ids = sorted(consumer_series)[:3]
+        service = self._service(ids)
+        week = 6
+        gap_slot = week * SLOTS_PER_WEEK + 100
+        for t in range((week + 1) * SLOTS_PER_WEEK - 1):
+            cycle = {cid: float(consumer_series[cid][t]) for cid in ids}
+            service.ingest_cycle({} if t == gap_slot else cycle)
+        assert service.is_trained
+        now = [0.0]
+        assess = service._assess_single
+
+        def assess_then_expire(*args):
+            out = assess(*args)
+            now[0] = 10.0  # the budget is gone after the first consumer
+            return out
+
+        monkeypatch.setattr(service, "_assess_single", assess_then_expire)
+        t = (week + 1) * SLOTS_PER_WEEK - 1
+        report = service.ingest_cycle(
+            {cid: float(consumer_series[cid][t]) for cid in ids},
+            deadline=Deadline(1.0, clock=lambda: now[0]),
+        )
+        assert report.shed == tuple(ids[1:])
+        stored = {cid: service.store.series(cid)[gap_slot] for cid in ids}
+        assert not np.isnan(stored[ids[0]])  # scored: repair persisted
+        assert np.isnan(stored[ids[1]]) and np.isnan(stored[ids[2]])
+        # Scored coverage is read after repair, shed coverage before it.
+        assert report.coverage[ids[0]] == 1.0
+        assert report.coverage[ids[1]] == (SLOTS_PER_WEEK - 1) / SLOTS_PER_WEEK
+
+    def test_quarantined_consumers_are_not_repaired(self, consumer_series):
+        ids = sorted(consumer_series)[:3]
+        service = _make_tolerant(ids, failure_threshold=3)
+        silent = ids[0]
+        for t in range(SLOTS_PER_WEEK):
+            cycle = {cid: float(consumer_series[cid][t]) for cid in ids}
+            if SLOTS_PER_WEEK - 6 <= t < SLOTS_PER_WEEK - 2:
+                del cycle[silent]  # trips the breaker, a repairable run
+            service.ingest_cycle(cycle)
+        assert silent in service.reports[-1].quarantined
+        assert silent not in service.reports[-1].coverage
+        assert service.store.gap_count(silent) == 4

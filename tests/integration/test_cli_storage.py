@@ -204,6 +204,35 @@ class TestScrubCLI:
         assert "week   6:" in reopened
         assert reopened == undisturbed
 
+    def test_fleet_reopen_names_shards_on_previous_generation(
+        self, tmp_path, capsys
+    ):
+        fleet = _BASE + ["--consumers", "4", "--shards", "2"]
+        for name in ("fleet", "twin"):
+            assert main(fleet + ["--wal-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        _corrupt(tmp_path / "fleet" / "shard-0000.ckpt")
+        longer = ["--weeks", "7"]
+        assert main(fleet + longer + ["--wal-dir", str(tmp_path / "twin")]) == 0
+        undisturbed = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("fleet resumed at cycle")
+        ]
+        assert undisturbed == [
+            f"fleet resumed at cycle 1680 (2 shard(s) recovered from "
+            f"{tmp_path / 'twin'})"
+        ]
+        assert main(fleet + longer + ["--wal-dir", str(tmp_path / "fleet")]) == 0
+        reopened = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("fleet resumed at cycle")
+        ]
+        assert reopened == [
+            f"fleet resumed at cycle 1680 (2 shard(s) recovered from "
+            f"{tmp_path / 'fleet'}; previous checkpoint generation: "
+            "shard-0000)"
+        ]
+
     def test_unusable_shard_checkpoints_exit_2(self, tmp_path, capsys):
         fleet = _BASE + ["--shards", "2", "--wal-dir", str(tmp_path / "f")]
         assert main(fleet) == 0

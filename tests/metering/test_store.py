@@ -208,3 +208,118 @@ class TestSlotAddressedRecord:
             store.record("c1", 0, -1.0)
         with pytest.raises(DataError):
             store.record("c1", -1, 1.0)
+
+
+class TestColumnWrite:
+    """append_column(): one polling cycle for many consumers at once."""
+
+    def test_column_lands_in_each_consumers_next_slot(self):
+        store = ReadingStore()
+        store.append_column(("a", "b"), [1.0, np.nan])
+        store.append_column(("a", "b"), [2.0, 3.0])
+        assert store.consumers() == ("a", "b")
+        assert np.array_equal(store.series("a"), [1.0, 2.0])
+        assert np.array_equal(store.series("b"), [np.nan, 3.0], equal_nan=True)
+        assert store.gap_count("b") == 1
+
+    def test_rejects_inf_and_negative_with_one_mask(self):
+        store = ReadingStore()
+        store.append_column(("a", "b"), [1.0, 2.0])
+        for bad in ([np.inf, 1.0], [1.0, -0.5], [-np.inf, np.nan]):
+            with pytest.raises(MeteringError):
+                store.append_column(("a", "b"), bad)
+        # A rejected column writes nothing.
+        assert store.length("a") == store.length("b") == 1
+
+    def test_rejects_a_column_of_the_wrong_size(self):
+        with pytest.raises(DataError):
+            ReadingStore().append_column(("a", "b"), [1.0])
+
+    def test_empty_column_is_a_no_op(self):
+        store = ReadingStore()
+        store.append_column((), [])
+        assert store.consumers() == ()
+
+    def test_consumers_of_unequal_length_each_advance_one_slot(self):
+        store = ReadingStore()
+        store.record("a", 4, 1.0)
+        store.append_column(("a", "b"), [2.0, 3.0])
+        assert store.length("a") == 6
+        assert store.length("b") == 1
+        assert store.series("a")[5] == 2.0
+
+    def test_slot_axis_grows_past_the_first_week(self, rng):
+        store = ReadingStore()
+        ids = ("a", "b", "c")
+        columns = rng.uniform(0, 2, size=(3 * SLOTS_PER_WEEK + 7, 3))
+        for column in columns:
+            store.append_column(ids, column)
+        for i, cid in enumerate(ids):
+            assert np.array_equal(store.series(cid), columns[:, i])
+
+    def test_cleared_row_is_reused_without_stale_readings(self):
+        store = ReadingStore()
+        store.append_column(("a", "b"), [1.0, 2.0])
+        store.append_column(("a", "b"), [1.5, 2.5])
+        store.clear("a")
+        store.append_column(("c",), [9.0])
+        assert store.consumers() == ("b", "c")
+        assert np.array_equal(store.series("c"), [9.0])
+        assert np.array_equal(store.series("b"), [2.0, 2.5])
+
+
+def _week(store, consumer_id, week_index):
+    return store.week_block((consumer_id,), week_index)[0]
+
+
+class TestMatrixReads:
+    def _store(self, rng, weeks=2):
+        store = ReadingStore()
+        values = rng.uniform(0, 2, size=(weeks * SLOTS_PER_WEEK, 2))
+        for column in values:
+            store.append_column(("a", "b"), column)
+        return store, values
+
+    def test_week_block_is_a_copy(self, rng):
+        store, values = self._store(rng)
+        block = store.week_block(("b", "a"), 1)
+        assert block.shape == (2, SLOTS_PER_WEEK)
+        assert np.array_equal(block[0], values[SLOTS_PER_WEEK:, 1])
+        block[:] = 0.0
+        assert np.array_equal(_week(store, "a", 1), values[SLOTS_PER_WEEK:, 0])
+
+    def test_week_block_needs_every_week_complete(self, rng):
+        store, _ = self._store(rng, weeks=1)
+        with pytest.raises(DataError, match="'a' has no complete week 1"):
+            store.week_block(("a", "b"), 1)
+        with pytest.raises(DataError, match="ghost"):
+            store.week_block(("a", "ghost"), 0)
+
+    def test_write_week_block_replaces_only_that_week(self, rng):
+        store, values = self._store(rng)
+        repaired = np.full((1, SLOTS_PER_WEEK), 0.5)
+        store.write_week_block(("b",), 0, repaired)
+        assert np.array_equal(_week(store, "b", 0), repaired[0])
+        assert np.array_equal(_week(store, "b", 1), values[SLOTS_PER_WEEK:, 1])
+        assert np.array_equal(_week(store, "a", 0), values[:SLOTS_PER_WEEK, 0])
+
+    def test_series_view_is_read_only(self, rng):
+        store, values = self._store(rng)
+        view = store._series["a"]
+        assert list(store._series) == ["a", "b"]
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+        copy = store.series("a")
+        copy[0] = -1.0
+        assert store.series("a")[0] == values[0, 0]
+
+    def test_state_round_trip(self, rng):
+        store, _ = self._store(rng)
+        store.record("a", 2 * SLOTS_PER_WEEK + 3, 1.0)
+        restored = ReadingStore()
+        restored.load_state(store.state_dict())
+        assert restored.consumers() == store.consumers()
+        for cid in store.consumers():
+            assert np.array_equal(
+                restored.series(cid), store.series(cid), equal_nan=True
+            )

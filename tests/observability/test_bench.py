@@ -94,6 +94,39 @@ class TestRecordStamps:
         (record,) = read_bench_records("eval", directory=tmp_path)
         assert record["git_sha"] == "cached99"
 
+    def test_dirty_tree_is_stamped(self, tmp_path, monkeypatch):
+        import subprocess
+
+        import repro.observability.bench as bench_module
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c",
+                 "user.email=bench@example.invalid", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "seed")
+        sha = git("rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+
+        def stamp():
+            monkeypatch.setattr(bench_module, "_git_sha_cache", False)
+            return bench_module._git_sha()
+
+        # An untracked file does not dirty the stamp.
+        (tmp_path / "untracked.txt").write_text("x\n")
+        assert stamp() == sha
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert stamp() == f"{sha}+dirty"
+        # The override still wins over a dirty tree.
+        monkeypatch.setenv("REPRO_GIT_SHA", "pinned1")
+        assert stamp() == "pinned1"
+
 
 def _record(seconds, meta=None):
     return {"seconds": seconds, "meta": meta or {}}

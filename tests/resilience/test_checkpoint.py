@@ -7,6 +7,7 @@ uninterrupted run.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.kld import KLDDetector
@@ -132,6 +133,76 @@ class TestRoundTrip:
             service.ingest_cycle(cycle)
         assert restored.weeks_completed == 12
         assert restored.reports == service.reports
+
+
+def _gappy_service(cycles, n_cycles):
+    """A service whose store holds gaps that survive week repair."""
+    service = _make_service()
+    dropped = sorted(cycles[0])[1]
+    for t, cycle in enumerate(cycles[:n_cycles]):
+        if 20 <= t % 50 < 26 or t % 97 == 5:
+            cycle = {k: v for k, v in cycle.items() if k != dropped}
+        service.ingest_cycle(cycle)
+    assert service.store.gap_count(dropped) > 0
+    return service
+
+
+def _assert_same_series(got, want):
+    assert got.consumers() == want.consumers()
+    for cid in want.consumers():
+        assert np.array_equal(
+            got.series(cid), want.series(cid), equal_nan=True
+        )
+
+
+class TestStoreState:
+    def test_list_form_checkpoint_restores_into_the_matrix(
+        self, cycles, tmp_path, monkeypatch
+    ):
+        """A checkpoint whose ``"series"`` is a list of readings per
+        consumer (the layout before the store became one matrix)
+        restores NaN-equal and keeps ingesting identically."""
+        path = tmp_path / "service.ckpt"
+        service = _gappy_service(cycles, 7 * SLOTS_PER_WEEK + 40)
+        state = service._state_dict()
+        del state["store"]
+        state["series"] = {
+            cid: [float(v) for v in service.store.series(cid)]
+            for cid in service.store.consumers()
+        }
+        monkeypatch.setattr(service, "_state_dict", lambda: state)
+        save_checkpoint(service, path)
+        monkeypatch.undo()
+        restored = load_checkpoint(path, _factory)
+        _assert_same_series(restored.store, service.store)
+        for cycle in cycles[7 * SLOTS_PER_WEEK + 40 :]:
+            restored.ingest_cycle(cycle)
+            service.ingest_cycle(cycle)
+        _assert_same_series(restored.store, service.store)
+        assert restored.reports == service.reports
+
+    def test_matrix_checkpoint_round_trips(self, cycles, tmp_path):
+        path = tmp_path / "service.ckpt"
+        service = _gappy_service(cycles, 3 * SLOTS_PER_WEEK + 11)
+        service.checkpoint(path)
+        restored = load_checkpoint(path, _factory)
+        _assert_same_series(restored.store, service.store)
+        assert restored.cycles_ingested == service.cycles_ingested
+
+    def test_release_then_adopt_keeps_order_and_series(self, cycles):
+        service = _gappy_service(cycles, 2 * SLOTS_PER_WEEK + 9)
+        before = {cid: service.store.series(cid) for cid in service.roster}
+        order = service.store.consumers()
+        mover = order[0]
+        packet = service.release_consumer(mover)
+        assert mover not in service.store.consumers()
+        service.adopt_consumer(mover, packet)
+        # Like a dict re-insertion: the adopted consumer goes last.
+        assert service.store.consumers() == (*order[1:], mover)
+        for cid, series in before.items():
+            assert np.array_equal(
+                service.store.series(cid), series, equal_nan=True
+            )
 
 
 class TestCheckpointFileFormat:
