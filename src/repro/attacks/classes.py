@@ -58,18 +58,6 @@ class AttackClass(Enum):
         """Whether the class requires a neighbour's readings to rise."""
         return self.circumvents_balance_check
 
-    @property
-    def under_reports_attacker(self) -> bool:
-        """Whether the attacker's own readings drop below her consumption.
-
-        In classes 1A/1B the attacker's *reported* readings stay typical
-        while her consumption rises, so relative to consumption they are
-        under-reported; in 2A/2B the reports themselves drop; in 3A/3B
-        peak readings drop (compensated off-peak); 4B shifts consumption,
-        with Mallory consuming more than she reports.
-        """
-        return True  # Proposition 1: every theft under-reports somewhere.
-
 
 @dataclass(frozen=True)
 class TableIRow:

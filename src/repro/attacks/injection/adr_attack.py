@@ -88,7 +88,3 @@ class ADRPriceAttack(AttackInjector):
                 "suppressed load consumed by Mallory"
             ),
         )
-
-    def mallory_extra_consumption(self, vector: AttackVector) -> np.ndarray:
-        """What Mallory consumes on top of her own load, per slot."""
-        return np.maximum(vector.reported - vector.actual, 0.0)

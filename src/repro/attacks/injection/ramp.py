@@ -82,19 +82,6 @@ class BoilingFrogRampAttack(AttackInjector):
             return 1.0
         return max(self.floor, self.weekly_decay**weeks_since_start)
 
-    def factors(self, weeks: int) -> np.ndarray:
-        """The per-week reporting factors for a ``weeks``-long campaign."""
-        if weeks < 0:
-            raise InjectionError(f"weeks must be >= 0, got {weeks}")
-        return np.array(
-            [self.factor_for_week(k) for k in range(weeks)], dtype=float
-        )
-
-    def weeks_to_floor(self) -> int:
-        """Campaign length until the ramp holds at its floor."""
-        k = int(np.ceil(np.log(self.floor) / np.log(self.weekly_decay)))
-        return max(k, 0)
-
     def poison_series(
         self,
         series: np.ndarray,

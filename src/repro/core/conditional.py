@@ -96,12 +96,6 @@ class PriceConditionedKLDDetector(WeeklyDetector):
             self._distributions[level] = dist
             self._thresholds[level] = dist.upper_tail_threshold(self.significance)
 
-    @property
-    def price_levels(self) -> tuple[float, ...]:
-        if self._masks is None:
-            raise NotFittedError("detector has not been fit")
-        return tuple(self._masks)
-
     def divergences_of(self, week: np.ndarray) -> dict[float, float]:
         """Per-price-level K values of a candidate week."""
         if self._masks is None:

@@ -11,7 +11,9 @@ F-DETA is detector-agnostic; it prescribes the *pipeline*:
 5. investigate remaining anomalies through the grid's balance-check
    machinery (Section V-B/C).
 
-:class:`FDetaFramework` wires per-consumer detectors to those steps.
+:class:`FDetaFramework` wires per-consumer detectors to steps 1-4; step 5
+is :mod:`repro.grid.investigation` over a
+:class:`~repro.grid.balance.BalanceAuditor` report.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ import numpy as np
 from repro.detectors.base import DetectionResult, WeeklyDetector
 from repro.errors import ConfigurationError, DataError
 from repro.stats.percentile import EmpiricalDistribution
-from repro.grid.balance import BalanceAuditor
-from repro.grid.investigation import (
-    InvestigationResult,
-    deepest_failure_investigation,
-)
-from repro.grid.snapshot import DemandSnapshot
 
 
 class AnomalyNature(Enum):
@@ -84,13 +80,6 @@ class ConsumerAssessment:
     def degraded(self) -> bool:
         """Whether the week was scored with missing slots."""
         return self.coverage < 1.0
-
-    @property
-    def needs_investigation(self) -> bool:
-        return (
-            self.result.flagged
-            and not self.false_positive_suspected
-        )
 
 
 class FDetaFramework:
@@ -239,34 +228,3 @@ class FDetaFramework:
             false_positive_suspected=false_positive,
             coverage=coverage,
         )
-
-    def assess_population(
-        self,
-        weeks: Mapping[str, np.ndarray],
-        week_index: int = 0,
-        evidence: ExternalEvidence | None = None,
-    ) -> dict[str, ConsumerAssessment]:
-        """Steps 2-4 across a population of consumers."""
-        return {
-            cid: self.assess_week(cid, week, week_index, evidence)
-            for cid, week in weeks.items()
-        }
-
-    # ------------------------------------------------------------------
-    # Step 5: investigation
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def investigate(
-        auditor: BalanceAuditor, snapshot: DemandSnapshot
-    ) -> InvestigationResult | None:
-        """Run the balance-check investigation if any meter reports W.
-
-        Returns ``None`` when every balance check passes (which, per the
-        paper, does *not* prove the absence of theft — Attack Classes
-        1B-4B circumvent the checks, which is why steps 1-4 exist).
-        """
-        report = auditor.audit(snapshot)
-        if not report.any_failure:
-            return None
-        return deepest_failure_investigation(auditor.topology, report)

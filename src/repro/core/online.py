@@ -954,8 +954,7 @@ class TheftMonitoringService:
             "Per-consumer observed fraction of each scored week.",
             buckets=FRACTION_BUCKETS,
         )
-        for fraction in report.coverage.values():
-            coverage.observe(fraction)
+        coverage.observe_many(report.coverage.values())
         if report.suppressed:
             metrics.counter(
                 "fdeta_suppressed_consumer_weeks_total",
@@ -1514,8 +1513,8 @@ class TheftMonitoringService:
         """Extract one consumer's packet and drop them from this shard.
 
         The service keeps running for its remaining consumers; a shard
-        drained of its last consumer becomes an empty (retiring) shard
-        whose ingest cycles are no-ops.
+        drained of its last consumer becomes an empty shard whose ingest
+        cycles are no-ops.
         """
         packet = self.extract_consumer(consumer_id)
         remaining = tuple(
@@ -1778,23 +1777,6 @@ class TheftMonitoringService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def breaker_state(self, consumer_id: str) -> BreakerState:
-        """Current circuit-breaker state for one consumer."""
-        return self._breakers.state(consumer_id)
-
-    def quarantined_consumers(self) -> tuple[str, ...]:
-        """Consumers whose circuit breaker is currently not closed."""
-        return self._breakers.quarantined()
-
-    def alerts_for(self, consumer_id: str) -> tuple[TheftAlert, ...]:
-        """Every alert ever raised against one consumer."""
-        return tuple(
-            alert
-            for report in self.reports
-            for alert in report.alerts
-            if alert.consumer_id == consumer_id
-        )
 
     def suspected_victims(self) -> tuple[str, ...]:
         """Consumers currently carrying victim-style alerts."""

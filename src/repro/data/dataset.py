@@ -83,10 +83,6 @@ class SmartMeterDataset:
     def consumers(self) -> tuple[str, ...]:
         return tuple(sorted(self.readings))
 
-    def type_of(self, consumer_id: str) -> ConsumerType:
-        self._require(consumer_id)
-        return self.consumer_types[consumer_id]
-
     def type_counts(self) -> dict[ConsumerType, int]:
         counts: dict[ConsumerType, int] = {kind: 0 for kind in ConsumerType}
         for kind in self.consumer_types.values():
@@ -122,17 +118,9 @@ class SmartMeterDataset:
         """Training readings as a flat series."""
         return self.series(consumer_id)[: self.train_weeks * SLOTS_PER_WEEK]
 
-    def test_series(self, consumer_id: str) -> np.ndarray:
-        """Test readings as a flat series."""
-        return self.series(consumer_id)[self.train_weeks * SLOTS_PER_WEEK :]
-
     # ------------------------------------------------------------------
     # Population statistics used by the evaluation
     # ------------------------------------------------------------------
-
-    def mean_demand(self, consumer_id: str) -> float:
-        """Average demand (kW) over the whole record."""
-        return float(self.series(consumer_id).mean())
 
     def consumers_by_size(self) -> tuple[str, ...]:
         """Consumer ids sorted by descending training-set mean demand.

@@ -243,12 +243,16 @@ class DurableTheftMonitor:
     -----------------------
     A :class:`~repro.errors.DiskFullError` from the WAL flips the
     monitor into **degraded read-only mode**: the failed cycle was never
-    acknowledged (the producer still holds it), subsequent ingests are
-    refused up front with :class:`~repro.errors.StorageDegradedError`,
-    the attached :class:`~repro.loadcontrol.queue.BackpressureSignal`
-    engages so the producer holds its readings, and already-committed
-    state keeps serving verdicts.  :meth:`try_resume` probes the volume
-    and re-opens ingestion once space is back.
+    acknowledged (the producer still holds it), the attached
+    :class:`~repro.loadcontrol.queue.BackpressureSignal` engages so the
+    producer holds its readings, and already-committed state keeps
+    serving verdicts.  Every later :meth:`ingest_cycle` first probes the
+    volume with :meth:`try_resume`: while the disk is still full the
+    cycle is refused up front with
+    :class:`~repro.errors.StorageDegradedError`; once a durable write
+    lands again, ingestion resumes with that very cycle.  So a producer
+    that re-delivers what was refused (the fleet re-offers a shard's
+    head pending cycle every cycle) resumes on its own.
     """
 
     def __init__(
@@ -308,12 +312,17 @@ class DurableTheftMonitor:
         and fsync to a ``wal_append`` stage before being handed to the
         service, so durability cost shows up in the same per-stage
         accounting as screening and scoring.
+
+        In degraded read-only mode the call first probes the volume
+        (:meth:`try_resume`) and raises
+        :class:`~repro.errors.StorageDegradedError` if it is still full.
         """
-        if self.read_only:
+        if self.read_only and not self.try_resume():
             raise StorageDegradedError(
                 f"monitor is in degraded read-only mode "
-                f"({self.degraded_reason}); the cycle was not accepted — "
-                f"re-deliver after try_resume() succeeds"
+                f"({self.degraded_reason}); the volume is still full, so "
+                f"the cycle was not accepted — re-deliver it, and the "
+                f"re-delivery probes the volume again"
             )
         expected = self.service.cycles_ingested
         if cycle_index is None:

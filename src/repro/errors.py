@@ -211,7 +211,8 @@ class StorageDegradedError(StorageError):
     """The monitor is in degraded read-only mode and refused a write.
 
     Raised *before* any bytes are appended, so the rejected cycle was
-    never acknowledged — the producer still holds it and must re-deliver
-    once :meth:`~repro.durability.recovery.DurableTheftMonitor.try_resume`
-    succeeds.
+    never acknowledged — the producer still holds it and re-delivers it.
+    Each re-delivery probes the volume
+    (:meth:`~repro.durability.recovery.DurableTheftMonitor.try_resume`)
+    and is accepted once a durable write lands again.
     """

@@ -25,13 +25,6 @@ class FalsePositiveStudy:
     any_week_rate: float
     per_week_rate: float
 
-    @property
-    def compounding_factor(self) -> float:
-        """How much the strict protocol inflates the FP rate."""
-        if self.single_week_rate == 0:
-            return float("inf") if self.any_week_rate > 0 else 1.0
-        return self.any_week_rate / self.single_week_rate
-
 
 def false_positive_study(
     dataset: SmartMeterDataset,

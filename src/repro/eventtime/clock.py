@@ -1,4 +1,4 @@
-"""Slot clock: the single source of truth for slot <-> timestamp mapping.
+"""Slot clock: the single source of truth for slot arithmetic.
 
 F-DETA's detector operates on half-hour *slots* (336 per week), but the
 delivery layer reasons about *timestamps*: when a meter stamped a reading
@@ -6,9 +6,10 @@ delivery layer reasons about *timestamps*: when a meter stamped a reading
 Before this module, each subsystem did its own slot arithmetic inline —
 the quarantine firewall compared a reading's declared slot against the
 polling cycle with ad-hoc comparisons, and nothing agreed on what "one
-slot of skew" meant in seconds.  :class:`SlotClock` centralises the
-mapping so the watermark tracker, the reorder buffer, and the firewall
-all share one definition of event time.
+slot of skew" meant.  :class:`SlotClock` centralises the arithmetic
+so the event-time ingestor, the service and the firewall all share one
+definition of event time.  Every run path stamps readings with slot
+indices, so the clock never converts a wall-clock timestamp.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 @dataclass(frozen=True)
 class SlotClock:
-    """Maps between wall-clock timestamps and F-DETA's half-hour slots.
+    """Week and skew arithmetic over F-DETA's half-hour slots.
 
-    ``epoch`` is the wall-clock time (seconds) of slot 0's left edge;
-    ``slot_seconds`` is the slot width (1800 s = the paper's half-hour
-    resolution).  Slots are numbered 0, 1, 2, ... from the epoch; a
-    timestamp belongs to the slot whose half-open interval
-    ``[epoch + s*slot_seconds, epoch + (s+1)*slot_seconds)`` contains it.
+    ``epoch`` is the wall-clock time (seconds) of slot 0's left edge and
+    ``slot_seconds`` the slot width (1800 s = the paper's half-hour
+    resolution); slots are numbered 0, 1, 2, ... from the epoch.
     """
 
     slot_seconds: float = 1800.0
@@ -39,14 +38,6 @@ class SlotClock:
                 f"slot_seconds must be positive, got {self.slot_seconds}"
             )
 
-    def slot_of(self, timestamp: float) -> int:
-        """The slot containing ``timestamp`` (may be negative pre-epoch)."""
-        return int((float(timestamp) - self.epoch) // self.slot_seconds)
-
-    def timestamp_of(self, slot: int) -> float:
-        """Left edge of ``slot`` as a wall-clock timestamp."""
-        return self.epoch + float(slot) * self.slot_seconds
-
     def week_of(self, slot: int) -> int:
         """The week index containing ``slot``."""
         return int(slot) // SLOTS_PER_WEEK
@@ -54,11 +45,6 @@ class SlotClock:
     def slot_in_week(self, slot: int) -> int:
         """Position of ``slot`` within its week (0..335)."""
         return int(slot) % SLOTS_PER_WEEK
-
-    def week_bounds(self, week_index: int) -> tuple[int, int]:
-        """Half-open slot range ``[start, end)`` of ``week_index``."""
-        start = int(week_index) * SLOTS_PER_WEEK
-        return start, start + SLOTS_PER_WEEK
 
     def skew(self, declared_slot: int, reference_slot: int) -> int:
         """Slots of clock skew: positive means the declaring clock runs

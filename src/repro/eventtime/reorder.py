@@ -102,11 +102,6 @@ class ReorderBuffer:
         return self._reading_count
 
     @property
-    def pending_slots(self) -> int:
-        """Distinct open slots currently holding at least one reading."""
-        return len(self.pending)
-
-    @property
     def span(self) -> int:
         """Slots between the release cursor and the newest buffered slot."""
         if not self.pending:

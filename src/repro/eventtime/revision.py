@@ -14,7 +14,6 @@ a :class:`RevisionLog` that renders a JSON report for the CLI's
 from __future__ import annotations
 
 import enum
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -97,16 +96,6 @@ class RevisionLog:
 
     def __len__(self) -> int:
         return len(self.revisions)
-
-    def for_week(self, week_index: int) -> tuple[VerdictRevision, ...]:
-        return tuple(
-            r for r in self.revisions if r.week_index == int(week_index)
-        )
-
-    def for_consumer(self, consumer_id: str) -> tuple[VerdictRevision, ...]:
-        return tuple(
-            r for r in self.revisions if r.consumer_id == consumer_id
-        )
 
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -53,16 +53,6 @@ class WatermarkTracker:
         mark = self.high_marks.get(consumer_id, -1)
         return self.frontier - mark
 
-    def lagging(self, threshold: int) -> tuple[str, ...]:
-        """Consumers trailing the frontier by more than ``threshold``."""
-        return tuple(
-            sorted(
-                cid
-                for cid in self.high_marks
-                if self.consumer_lag(cid) > threshold
-            )
-        )
-
     def state_dict(self) -> dict:
         return {
             "lateness_slots": self.lateness_slots,

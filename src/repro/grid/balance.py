@@ -23,11 +23,6 @@ class NodeCheck:
     w_event: bool
     compromised_meter: bool
 
-    @property
-    def discrepancy(self) -> float:
-        """Measured minus reported; positive means unaccounted power."""
-        return self.measured - self.reported_sum
-
 
 @dataclass(frozen=True)
 class BalanceCheckReport:
@@ -117,10 +112,6 @@ class BalanceAuditor:
                 self._compromised.add(nid)
                 count += 1
         return count
-
-    @property
-    def compromised_meters(self) -> tuple[str, ...]:
-        return tuple(sorted(self._compromised))
 
     # ------------------------------------------------------------------
     # Checks

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import TopologyError
-from repro.grid.snapshot import DemandSnapshot
 from repro.grid.topology import NodeKind, RadialTopology
 
 
@@ -127,17 +126,3 @@ class ImpedanceLossModel:
             )
             losses[leaf] = segment.loss_kw(subtree_kw)
         return losses
-
-    def snapshot_with_losses(
-        self,
-        consumer_demands: Mapping[str, float],
-        reported: Mapping[str, float] | None = None,
-    ) -> DemandSnapshot:
-        """Build a snapshot whose loss leaves are impedance-derived."""
-        losses = self.compute_losses(consumer_demands)
-        return DemandSnapshot(
-            topology=self.topology,
-            actual={cid: float(v) for cid, v in consumer_demands.items()},
-            reported=dict(reported) if reported else {},
-            losses=losses,
-        )

@@ -102,17 +102,3 @@ class DemandSnapshot:
             reported=new_reported,
             losses=dict(self.losses),
         )
-
-    def with_actual(self, overrides: Mapping[str, float]) -> "DemandSnapshot":
-        """Copy of this snapshot with some actual demands replaced."""
-        new_actual = dict(self.actual)
-        for cid, value in overrides.items():
-            if cid not in new_actual:
-                raise TopologyError(f"unknown consumer: {cid!r}")
-            new_actual[cid] = float(value)
-        return DemandSnapshot(
-            topology=self.topology,
-            actual=new_actual,
-            reported=dict(self.reported),
-            losses=dict(self.losses),
-        )

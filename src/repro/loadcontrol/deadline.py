@@ -100,10 +100,6 @@ class Deadline:
     # Budget queries
     # ------------------------------------------------------------------
 
-    @property
-    def limited(self) -> bool:
-        return self.budget_s is not None
-
     def elapsed(self) -> float:
         """Seconds spent since the deadline was created."""
         return self._clock() - self._started

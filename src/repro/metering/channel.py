@@ -35,7 +35,7 @@ class LossyChannel:
     outage_rate: float = 0.001
     outage_mean_cycles: float = 8.0
     #: Remaining silent cycles per meter; ``math.inf`` means silenced
-    #: until :meth:`reset`.  Plain picklable state: the channel survives
+    #: for good.  Plain picklable state: the channel survives
     #: ``copy.deepcopy`` and ``pickle`` (the parallel evaluation path
     #: ships channels to ``ProcessPoolExecutor`` workers), and each copy
     #: evolves its outages independently afterwards.
@@ -53,10 +53,6 @@ class LossyChannel:
 
     def in_outage(self, meter_id: str) -> bool:
         return self._outages.get(meter_id, 0) > 0
-
-    def reset(self) -> None:
-        """Clear all outage state, returning the channel to pristine."""
-        self._outages.clear()
 
     def silence(self, meter_id: str, cycles: int | None = None) -> None:
         """Force a meter into an outage (forever when ``cycles`` is None).

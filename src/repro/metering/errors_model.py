@@ -57,18 +57,6 @@ class MeasurementErrorModel:
         error = rng.normal(0.0, self.sigma)
         return max(0.0, float(true_value * (1.0 + error)))
 
-    def apply_many(
-        self, true_values: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Vectorised :meth:`apply`."""
-        arr = np.asarray(true_values, dtype=float)
-        if np.any(arr < 0):
-            raise ConfigurationError("demands must be >= 0")
-        if self.sigma == 0.0:
-            return arr.copy()
-        errors = rng.normal(0.0, self.sigma, size=arr.shape)
-        return np.maximum(0.0, arr * (1.0 + errors))
-
     def within_band_probability(self, band: float) -> float:
         """P(|relative error| < band) for this model."""
         if band <= 0:

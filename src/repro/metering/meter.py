@@ -69,14 +69,6 @@ class SmartMeter:
         self._tamper = None
         self.tap_kw = 0.0
 
-    @property
-    def is_compromised(self) -> bool:
-        return self._tamper is not None
-
-    @property
-    def has_tap(self) -> bool:
-        return self.tap_kw > 0.0
-
     def install_upstream_tap(self, tap_kw: float) -> None:
         """Divert ``tap_kw`` of demand upstream of the meter (Fig. 1)."""
         if tap_kw < 0:

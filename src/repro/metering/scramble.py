@@ -112,13 +112,6 @@ class ScramblingChannel:
     def in_outage(self, consumer_id: str, slot: int) -> bool:
         return self._outage_until.get(consumer_id, 0) > slot
 
-    def reset(self) -> None:
-        """Drop all in-flight readings and per-consumer state."""
-        self._due.clear()
-        self._held.clear()
-        self._outage_until.clear()
-        self._route_scale.clear()
-
     def silence(self, consumer_id: str, until_slot: int) -> None:
         """Force a collector outage lasting until ``until_slot``.
 

@@ -186,7 +186,7 @@ class ReadingStore:
         if not math.isfinite(value):
             raise MeteringError(
                 f"reading for {consumer_id!r} must be finite, got {value}; "
-                "use append_gap() to record a missing reading"
+                "a missing reading is a NaN written with append_column()"
             )
         if value < 0:
             raise MeteringError(
@@ -197,10 +197,6 @@ class ReadingStore:
     def append(self, consumer_id: str, reading: float) -> None:
         """Record one reading (never a NaN) for the next time period."""
         self.append_column((consumer_id,), (self._validated(consumer_id, reading),))
-
-    def append_gap(self, consumer_id: str) -> None:
-        """Record a missing reading (NaN placeholder) for the next period."""
-        self.append_column((consumer_id,), (math.nan,))
 
     def extend(self, consumer_id: str, readings: np.ndarray) -> None:
         """Record a batch of consecutive readings (NaN refused)."""
@@ -286,13 +282,6 @@ class ReadingStore:
             return math.nan
         return float(self._matrix[row, slot])
 
-    def gap_count(self, consumer_id: str) -> int:
-        """Number of gap markers currently in a consumer's series."""
-        row = self._rows.get(consumer_id)
-        if row is None:
-            return 0
-        return int(np.count_nonzero(np.isnan(self._view(row))))
-
     def series(self, consumer_id: str) -> np.ndarray:
         """Full reading series for a consumer as a float array (a copy)."""
         row = self._rows.get(consumer_id)
@@ -354,12 +343,6 @@ class ReadingStore:
         rows, start = self._week_rows(consumer_ids, week_index, slots_per_week)
         return self._matrix[rows, start : start + slots_per_week]
 
-    def latest_week(
-        self, consumer_id: str, slots_per_week: int = SLOTS_PER_WEEK
-    ) -> np.ndarray:
-        """The most recent complete week of readings."""
-        return self.week_matrix(consumer_id, slots_per_week)[-1]
-
     # ------------------------------------------------------------------
     # Week write-back (gap repair)
     # ------------------------------------------------------------------
@@ -388,22 +371,6 @@ class ReadingStore:
             self._check(consumer_ids, values)
         rows, start = self._week_rows(consumer_ids, week_index, slots_per_week)
         self._matrix[rows, start : start + slots_per_week] = values
-
-    def overwrite_week(
-        self,
-        consumer_id: str,
-        week_index: int,
-        values: np.ndarray,
-        slots_per_week: int = SLOTS_PER_WEEK,
-    ) -> None:
-        """Replace one consumer's recorded week (see
-        :meth:`write_week_block`)."""
-        self.write_week_block(
-            (consumer_id,),
-            week_index,
-            np.asarray(values, dtype=float).reshape(1, -1),
-            slots_per_week,
-        )
 
     # ------------------------------------------------------------------
     # Checkpoint state

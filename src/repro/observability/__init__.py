@@ -36,7 +36,7 @@ from repro.observability.bench import (
     bench_diff,
     write_bench_record,
 )
-from repro.observability.events import EventLogger, StdlibBridgeHandler
+from repro.observability.events import EventLogger
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     FRACTION_BUCKETS,
@@ -90,7 +90,6 @@ __all__ = [
     "ShardHealth",
     "Span",
     "StageProfiler",
-    "StdlibBridgeHandler",
     "TraceContext",
     "Tracer",
     "bench_diff",

@@ -10,9 +10,7 @@ timestamp, a level, an event name, and arbitrary key-value fields:
      "consumer": "c0012", "cycle": 4031}
 
 The logger writes to a path or an open stream, filters by level, and can
-bridge the stdlib ``logging`` module in both directions: route stdlib
-records *into* the JSONL stream (:meth:`EventLogger.stdlib_handler`), or
-mirror every event *out* to a stdlib logger (``forward_to``) so existing
+mirror every event to a stdlib logger (``forward_to``) so existing
 handlers keep seeing traffic.
 """
 
@@ -27,18 +25,12 @@ from typing import IO, Mapping
 
 from repro.errors import ConfigurationError
 
-__all__ = ["EventLogger", "LEVELS", "StdlibBridgeHandler"]
+__all__ = ["EventLogger", "LEVELS"]
 
 #: Recognised levels, in increasing severity order.
 LEVELS: tuple[str, ...] = ("debug", "info", "warning", "error")
 
 _LEVEL_ORDER: Mapping[str, int] = {name: i for i, name in enumerate(LEVELS)}
-
-_STDLIB_TO_LEVEL = (
-    (logging.ERROR, "error"),
-    (logging.WARNING, "warning"),
-    (logging.INFO, "info"),
-)
 
 _LEVEL_TO_STDLIB: Mapping[str, int] = {
     "debug": logging.DEBUG,
@@ -93,7 +85,6 @@ class EventLogger:
         if isinstance(forward_to, str):
             forward_to = logging.getLogger(forward_to)
         self._forward = forward_to
-        self._bridge_handlers: list["StdlibBridgeHandler"] = []
         self.events_written = 0
 
     # ------------------------------------------------------------------
@@ -152,18 +143,10 @@ class EventLogger:
     def close(self) -> None:
         """Flush and release the sink; safe to call more than once.
 
-        Any bridge handler minted by :meth:`stdlib_handler` is detached
-        from every stdlib logger it was attached to, so a closed logger
-        leaves no handler behind to write into a dead stream (the
-        classic cross-test leak).  A caller-owned stream is flushed but
-        stays open (the caller owns its lifetime); the in-memory
-        StringIO fallback stays readable after close so tests can
-        inspect what was logged.
+        A caller-owned stream is flushed but stays open (the caller owns
+        its lifetime); the in-memory StringIO fallback stays readable
+        after close so tests can inspect what was logged.
         """
-        for handler in self._bridge_handlers:
-            _detach_everywhere(handler)
-            handler.close()
-        self._bridge_handlers = []
         stream = self._stream
         if stream is None:
             return
@@ -181,52 +164,3 @@ class EventLogger:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # stdlib logging bridge
-    # ------------------------------------------------------------------
-
-    def stdlib_handler(self, level: int = logging.INFO) -> "StdlibBridgeHandler":
-        """A ``logging.Handler`` that routes stdlib records through this
-        logger — attach it to any stdlib logger to capture third-party
-        log traffic in the same JSONL stream.  Handlers minted here are
-        tracked and detached from every logger when this event logger
-        closes, so no bridge outlives its sink."""
-        handler = StdlibBridgeHandler(self, level=level)
-        self._bridge_handlers.append(handler)
-        return handler
-
-
-def _detach_everywhere(handler: logging.Handler) -> None:
-    """Remove ``handler`` from the root logger and every named logger."""
-    loggers: list[logging.Logger] = [logging.getLogger()]
-    manager = logging.Logger.manager
-    for name in list(manager.loggerDict):
-        existing = manager.loggerDict[name]
-        if isinstance(existing, logging.Logger):
-            loggers.append(existing)
-    for logger in loggers:
-        if handler in logger.handlers:
-            logger.removeHandler(handler)
-
-
-class StdlibBridgeHandler(logging.Handler):
-    """Routes stdlib :mod:`logging` records into an :class:`EventLogger`."""
-
-    def __init__(self, events: EventLogger, level: int = logging.INFO) -> None:
-        super().__init__(level=level)
-        self.events = events
-
-    def emit(self, record: logging.LogRecord) -> None:
-        for threshold, name in _STDLIB_TO_LEVEL:
-            if record.levelno >= threshold:
-                level = name
-                break
-        else:
-            level = "debug"
-        self.events.log(
-            level,
-            record.getMessage(),
-            logger=record.name,
-            stdlib_level=record.levelname,
-        )

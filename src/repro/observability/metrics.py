@@ -36,7 +36,9 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -180,9 +182,6 @@ class Gauge(_MetricFamily):
         key = self._key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + float(amount)
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         return float(self._samples.get(self._key(labels), 0.0))
 
@@ -244,6 +243,30 @@ class Histogram(_MetricFamily):
         # bucket, i.e. in `count`.
         sample.sum += value
         sample.count += 1
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """:meth:`observe` every value, in order, with one bucket search.
+
+        Bucket placement is ``value <= bound`` as in :meth:`observe` (a
+        NaN or a value above the last bound lands only in ``+Inf``), and
+        the sum accumulates in the same order, so the exposition is
+        byte-identical to observing the values one by one.
+        """
+        batch = np.fromiter(values, dtype=float)
+        if not batch.size:
+            return
+        sample = self._sample(labels)
+        # side="left" finds the first bound >= value; NaN sorts past
+        # every bound, so it lands in the implicit +Inf bucket too.
+        slots = np.searchsorted(self.buckets, batch, side="left")
+        placed = np.bincount(slots, minlength=len(self.buckets) + 1)
+        for i, n in enumerate(placed[: len(self.buckets)].tolist()):
+            sample.bucket_counts[i] += n
+        total = sample.sum
+        for value in batch.tolist():
+            total += value
+        sample.sum = total
+        sample.count += int(batch.size)
 
     @contextmanager
     def time(self, **labels: object) -> Iterator[None]:
@@ -384,12 +407,6 @@ class MetricsRegistry:
                 ]
             families.append(entry)
         return {"families": families}
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge_snapshot(snapshot)
-        return registry
 
     def merge_snapshot(self, snapshot: Mapping) -> None:
         """Fold a :meth:`snapshot` into this registry.

@@ -91,9 +91,6 @@ class HealthReport:
                 return shard
         raise KeyError(f"no shard {name!r} in this report")
 
-    def unready(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.shards if not s.ready)
-
     def to_dict(self) -> dict:
         payload = asdict(self)
         payload["shards"] = [asdict(s) for s in self.shards]

@@ -154,10 +154,5 @@ class StageProfiler:
         from repro.storage.io import atomic_write_json
 
         atomic_write_json(path, self.to_dict(top), site="export.profile")
-
-    def reset(self) -> None:
-        """Drop accumulated stats (open stages keep timing coherently)."""
-        self._stats = {}
-        self._tick = 0
         # Open frames still reference their old stats objects via name
         # lookups at exit — recreate entries lazily; counts restart.

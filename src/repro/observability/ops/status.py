@@ -52,8 +52,7 @@ def _render_manifest(manifest: Mapping) -> list[str]:
     shards = manifest.get("shards", {})
     lines = [
         "FLEET TOPOLOGY",
-        f"  shards: {len(shards)}   cycle: {manifest.get('cycle', '?')}"
-        f"   retired: {len(manifest.get('retired') or {})}",
+        f"  shards: {len(shards)}   cycle: {manifest.get('cycle', '?')}",
     ]
     pending = manifest.get("pending")
     if pending:

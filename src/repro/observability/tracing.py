@@ -206,18 +206,10 @@ class Tracer:
     def active(self) -> Span | None:
         return self._stack[-1] if self._stack else None
 
-    def current_context(self) -> TraceContext | None:
-        """The innermost active span's context (or ``None`` if idle)."""
-        active = self.active
-        return active.context if active is not None else None
-
     def spans(self) -> Iterator[Span]:
         """Every recorded span, depth-first across all roots."""
         for root in self.roots:
             yield from root.walk()
-
-    def find(self, name: str) -> list[Span]:
-        return [span for span in self.spans() if span.name == name]
 
     def to_dict(self) -> dict:
         return {"spans": [root.to_dict() for root in self.roots]}

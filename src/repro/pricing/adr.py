@@ -87,24 +87,10 @@ class ADRInterface:
     def restore(self) -> None:
         self.price_multiplier = 1.0
 
-    @property
-    def is_compromised(self) -> bool:
-        return self.price_multiplier != 1.0
-
-    def seen_price(self, true_price: float) -> float:
-        """lambda'_n(t): the price the victim's ADR system observes."""
-        if true_price <= 0:
-            raise PricingError(f"price must be positive, got {true_price}")
-        return true_price * self.price_multiplier
-
-    def respond(self, baseline_kw: float, true_price: float) -> float:
-        """The victim's actual consumption given the (possibly forged)
-        price signal."""
-        return self.consumer.demand(baseline_kw, self.seen_price(true_price))
-
     def respond_vector(
         self, baseline_kw: np.ndarray, true_prices: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`respond`."""
+        """The victim's actual consumption per slot under the (possibly
+        forged) price signal ``lambda'_n(t)`` it observes."""
         lam = np.asarray(true_prices, dtype=float).ravel() * self.price_multiplier
         return self.consumer.demand_vector(baseline_kw, lam)

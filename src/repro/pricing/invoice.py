@@ -92,10 +92,6 @@ class BillingCycleResult:
         """Supplied minus billed energy: the utility's physical loss."""
         return self.supplied_kwh - self.billed_kwh
 
-    @property
-    def revenue(self) -> float:
-        return float(sum(inv.total for inv in self.invoices.values()))
-
 
 def bill_cycle(
     reported: Mapping[str, np.ndarray],

@@ -87,14 +87,6 @@ class RealTimeMarket:
     # Curves
     # ------------------------------------------------------------------
 
-    def supply_at(self, price: float) -> float:
-        """Cumulative capacity offered at or below ``price``."""
-        if price < 0:
-            raise PricingError(f"price must be >= 0, got {price}")
-        return float(
-            sum(g.capacity_kw for g in self.stack if g.marginal_cost <= price)
-        )
-
     def demand_at(self, baseline_kw: float, price: float) -> float:
         """Elastic aggregate demand at ``price``."""
         if baseline_kw < 0:

@@ -86,10 +86,6 @@ class TimeOfUsePricing(PricingScheme):
                 f"{SLOTS_PER_DAY}, got [{self.peak_start_slot}, {self.peak_end_slot})"
             )
 
-    def is_peak(self, t: int) -> bool:
-        """Whether global slot ``t`` falls in the daily peak window."""
-        return bool(self.peak_mask(1, start=t)[0])
-
     def peak_mask(self, n_slots: int, start: int = 0) -> np.ndarray:
         """Boolean mask of peak slots over a window."""
         slot_of_day = _slot_range(n_slots, start) % SLOTS_PER_DAY

@@ -12,7 +12,6 @@ and renders an aggregate report for the CLI's ``--quarantine-report``.
 from __future__ import annotations
 
 import enum
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -102,11 +101,6 @@ class QuarantineStore:
 
     def counts_by_consumer(self) -> dict[str, int]:
         return dict(self._consumer_counts)
-
-    def for_consumer(self, consumer_id: str) -> tuple[QuarantinedReading, ...]:
-        return tuple(
-            r for r in self.records if r.consumer_id == consumer_id
-        )
 
     def report(self) -> dict:
         """Aggregate report (JSON-able) for operators and CI artifacts."""

@@ -69,18 +69,6 @@ class FaultInjector:
                 f"stuck_mean_cycles must be >= 1, got {self.stuck_mean_cycles}"
             )
 
-    def is_stuck(self, meter_id: str) -> bool:
-        return meter_id in self._stuck
-
-    def is_skewed(self, meter_id: str) -> bool:
-        return meter_id in self._skewed
-
-    def reset(self) -> None:
-        """Forget all per-meter fault state."""
-        self._last.clear()
-        self._stuck.clear()
-        self._skewed.clear()
-
     def apply(
         self, readings: Mapping[str, float], rng: np.random.Generator
     ) -> dict[str, float]:
@@ -139,13 +127,5 @@ class FaultyChannel:
     ) -> dict[str, float]:
         return self.channel.transmit(self.faults.apply(readings, rng), rng)
 
-    def silence(self, meter_id: str, cycles: int | None = None) -> None:
-        """Silence a meter (forever when ``cycles`` is ``None``)."""
-        self.channel.silence(meter_id, cycles)
-
     def in_outage(self, meter_id: str) -> bool:
         return self.channel.in_outage(meter_id)
-
-    def reset(self) -> None:
-        self.channel.reset()
-        self.faults.reset()

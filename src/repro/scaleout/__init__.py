@@ -8,8 +8,8 @@ sharded ``monitor`` run (``--shards N`` or ``--elastic``) uses it:
   onto shards (minimal movement when the shard set changes);
 * :mod:`~repro.scaleout.handoff` — the snapshot+WAL handoff protocol,
   ownership-epoch fencing, and the atomic fleet manifest;
-* :mod:`~repro.scaleout.plane` — the merged fleet-wide verdict, metric,
-  and revision plane (bit-identical to an unsharded run);
+* :mod:`~repro.scaleout.plane` — the merged fleet-wide verdict and
+  metric plane (bit-identical to an unsharded run);
 * :mod:`~repro.scaleout.fleet` — :class:`ElasticFleet`, which ties the
   three together with per-shard watermarks and self-healing dispatch.
 """
@@ -30,7 +30,6 @@ from repro.scaleout.handoff import (
 from repro.scaleout.plane import (
     FleetWeekReport,
     merge_metrics,
-    merge_revisions,
     merge_weekly_reports,
     merged_signature,
     report_signature,
@@ -49,7 +48,6 @@ __all__ = [
     "ShardWorker",
     "balanced_assignments",
     "merge_metrics",
-    "merge_revisions",
     "merge_weekly_reports",
     "merged_signature",
     "read_manifest",

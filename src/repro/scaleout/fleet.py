@@ -4,11 +4,11 @@
 and ``monitor --elastic`` both run on it.
 
 * **placement** comes from a consistent-hash ring
-  (:class:`~repro.scaleout.ring.HashRing`), so adding or removing a
-  shard moves only ~``n/shards`` consumers instead of reshuffling the
-  whole roster away from the WALs that hold their history;
-* **elasticity**: :meth:`add_shard` / :meth:`remove_shard` rebalance a
-  *running* fleet through the snapshot+WAL handoff protocol
+  (:class:`~repro.scaleout.ring.HashRing`), so adding a shard moves
+  only ~``n/shards`` consumers instead of reshuffling the whole roster
+  away from the WALs that hold their history;
+* **elasticity**: :meth:`add_shard` rebalances a *running* fleet
+  through the snapshot+WAL handoff protocol
   (quiesce → snapshot → commit → install → finalize, see
   :mod:`repro.scaleout.handoff`) — per-consumer state packets migrate
   between shard services without replaying full history, and the
@@ -87,7 +87,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
     from repro.core.online import MonitoringReport, TheftMonitoringService
     from repro.detectors.base import WeeklyDetector
-    from repro.eventtime.revision import RevisionLog
     from repro.grid.snapshot import DemandSnapshot
     from repro.loadcontrol.deadline import Deadline
     from repro.loadcontrol.queue import BackpressureSignal
@@ -129,10 +128,6 @@ class ShardWorker:
     #: ``None`` (started fresh or rebuilt from the WAL alone).
     generation: str | None = None
 
-    @property
-    def alive(self) -> bool:
-        return self.monitor is not None and not self.hung
-
 
 class ElasticFleet:
     """Runs an elastic, self-healing fleet of shard monitor workers.
@@ -143,15 +138,15 @@ class ElasticFleet:
         The full consumer roster.
     base_dir:
         Directory holding the fleet manifest (``fleet.json``), each
-        shard's WAL directory and checkpoint, and retired-shard
-        archives.  Reopening a fleet over an existing ``base_dir``
-        recovers the persisted topology (including any half-finished
-        handoff, which is rolled forward) and every shard's durable
-        state — the ``roster``/``n_shards`` arguments are then ignored
-        in favour of the manifest.  A ``base_dir`` that holds per-shard
-        WALs and checkpoints but no manifest (the layout of a fixed
-        ``shard-NNNN`` fleet) is placed by the ring as a fresh fleet
-        would be, and each shard recovers its own durable state.
+        shard's WAL directory and checkpoint.  Reopening a fleet over
+        an existing ``base_dir`` recovers the persisted topology
+        (including any half-finished handoff, which is rolled forward)
+        and every shard's durable state — the ``roster``/``n_shards``
+        arguments are then ignored in favour of the manifest.  A
+        ``base_dir`` that holds per-shard WALs and checkpoints but no
+        manifest (the layout of a fixed ``shard-NNNN`` fleet) is placed
+        by the ring as a fresh fleet would be, and each shard recovers
+        its own durable state.
     service_factory:
         ``service_factory(consumers)`` builds a fresh
         :class:`~repro.core.online.TheftMonitoringService`; it must
@@ -265,8 +260,6 @@ class ElasticFleet:
         self._ckpt_seq = 0
         self._fence: dict[str, int] = {}
         self._workers: dict[str, ShardWorker] = {}
-        self._retired: dict[str, "TheftMonitoringService"] = {}
-        self._retired_checkpoints: dict[str, str] = {}
         #: Per-shard ingestion watermarks (shard name -> last drained
         #: cycle).  ``lateness_slots=0``: the frontier *is* the newest
         #: drained cycle; a shard's lag is how far it trails it.
@@ -354,8 +347,6 @@ class ElasticFleet:
                 checkpoint_path=checkpoint_path,
                 consumers=tuple(entry["consumers"]),
             )
-        for name, entry in manifest.get("retired", {}).items():
-            self._restore_retired(name, entry["checkpoint_path"])
         pending = manifest.get("pending")
         record = (
             HandoffRecord.from_json(pending) if pending is not None else None
@@ -387,14 +378,6 @@ class ElasticFleet:
             for w in self._workers.values()
         )
         self._persist()
-
-    def _restore_retired(self, name: str, checkpoint_path: str) -> None:
-        from repro.core.online import TheftMonitoringService
-
-        self._retired[name] = TheftMonitoringService.restore(
-            checkpoint_path, self.detector_factory, events=self.events
-        )
-        self._retired_checkpoints[name] = checkpoint_path
 
     def _fresh_service(
         self, consumers: tuple[str, ...] | None
@@ -661,12 +644,6 @@ class ElasticFleet:
                     }
                     for name, w in sorted(self._workers.items())
                 },
-                "retired": {
-                    name: {"checkpoint_path": path}
-                    for name, path in sorted(
-                        self._retired_checkpoints.items()
-                    )
-                },
                 "pending": pending.to_json() if pending is not None else None,
             },
         )
@@ -706,9 +683,6 @@ class ElasticFleet:
         """How many cycles ``name`` trails the fleet frontier."""
         self._worker(name)
         return self.watermarks.consumer_lag(name)
-
-    def lagging_shards(self, threshold: int = 0) -> tuple[str, ...]:
-        return self.watermarks.lagging(threshold)
 
     @staticmethod
     def _subset(worker: ShardWorker, reported: Mapping) -> dict:
@@ -803,11 +777,13 @@ class ElasticFleet:
                     self._mark_unreachable(worker)
                     break
             except StorageDegradedError:
-                # The shard's volume is full: the cycle was refused
-                # before any byte landed, so leave it queued (bounded by
-                # the pending cap) and keep serving committed verdicts.
-                # The health plane reports the shard unready until a
-                # try_resume() probe succeeds.
+                # The shard's volume is still full: the cycle was
+                # refused before any byte landed, so leave it queued and
+                # keep serving committed verdicts.  The backlog is the
+                # same partition buffer an unreachable shard keeps (no
+                # cap applies); the next cycle re-offers its head, which
+                # probes the volume again, and the health plane reports
+                # the shard unready until that probe succeeds.
                 break
             except TransientStorageError:
                 # Retries under the WAL's policy were already exhausted;
@@ -862,7 +838,7 @@ class ElasticFleet:
             )
 
     # ------------------------------------------------------------------
-    # Elasticity: add/remove shards via the handoff protocol
+    # Elasticity: add shards via the handoff protocol
     # ------------------------------------------------------------------
 
     def _roster_all(self) -> tuple[str, ...]:
@@ -890,7 +866,7 @@ class ElasticFleet:
         if name is None:
             name = f"shard-{self._next_index:04d}"
             self._next_index += 1
-        elif name in self._workers or name in self._retired:
+        elif name in self._workers:
             raise ConfigurationError(f"shard {name!r} already exists")
         roster = self._roster_all()
         if len(roster) < len(self._workers) + 1:
@@ -911,44 +887,11 @@ class ElasticFleet:
                 old_assignment,
                 new_assignment,
                 added=(name,),
-                retiring=(),
                 on_phase=on_phase,
             )
         finally:
             self._trace_handoff_end()
         return name
-
-    def remove_shard(
-        self, name: str, on_phase: PhaseHook | None = None
-    ) -> None:
-        """Retire one shard, migrating its consumers to the survivors.
-
-        The retired shard's weekly reports remain part of the merged
-        plane (archived with the fleet manifest), so history survives
-        the topology change.
-        """
-        self._worker(name)
-        if len(self._workers) < 2:
-            raise ConfigurationError("cannot remove the last shard")
-        self._trace_handoff_start("remove", shard=name)
-        try:
-            self._quiesce(on_phase)
-            old_assignment = {
-                shard: worker.consumers
-                for shard, worker in self._workers.items()
-            }
-            self._ring.remove_shard(name)
-            roster = self._roster_all()
-            new_assignment = balanced_assignments(self._ring, roster)
-            self._rebalance(
-                old_assignment,
-                new_assignment,
-                added=(),
-                retiring=(name,),
-                on_phase=on_phase,
-            )
-        finally:
-            self._trace_handoff_end()
 
     # -- handoff tracing -------------------------------------------------
 
@@ -1026,7 +969,6 @@ class ElasticFleet:
         old_assignment: Mapping[str, tuple[str, ...]],
         new_assignment: Mapping[str, tuple[str, ...]],
         added: tuple[str, ...],
-        retiring: tuple[str, ...],
         on_phase: PhaseHook | None,
     ) -> None:
         new_owner = {
@@ -1051,14 +993,10 @@ class ElasticFleet:
         record = HandoffRecord(
             moves=moves,
             added=added,
-            retiring=retiring,
             cycle=self._cycle,
-            retiring_dirs=tuple(
-                (name, *self._shard_paths(name)) for name in retiring
-            ),
             trace=self._handoff_trace_payload(),
         )
-        touched = set(added) | set(retiring)
+        touched = set(added)
         for cid, src, dst in moves:
             touched.add(src)
             touched.add(dst)
@@ -1094,12 +1032,11 @@ class ElasticFleet:
         self._apply_record(record, on_phase)
         self.handoffs_total += 1
         if self.metrics is not None:
-            kind = "add" if added else ("remove" if retiring else "rebalance")
             self.metrics.counter(
                 "fdeta_fleet_handoffs_total",
                 "Completed shard handoffs, by kind.",
                 labels=("kind",),
-            ).inc(kind=kind)
+            ).inc(kind="add")
             self.metrics.counter(
                 "fdeta_fleet_moved_consumers_total",
                 "Consumers migrated between shards by handoffs.",
@@ -1108,7 +1045,6 @@ class ElasticFleet:
             self.events.info(
                 "fleet_rebalanced",
                 added=list(added),
-                retired=list(retiring),
                 moved=len(moves),
                 cycle=self._cycle,
                 shards=len(self._workers),
@@ -1152,25 +1088,10 @@ class ElasticFleet:
                     service.align_clock(donor_clock)
                     worker.monitor = self._wrap(service, worker)
             worker.last_cycle = record.cycle - 1
-        # Recover retiring shards that have already left the active set
-        # (crash roll-forward); live retiring shards are still active
-        # workers at this point.
         sources: dict[str, "TheftMonitoringService"] = {}
         for name, worker in self._workers.items():
             assert worker.monitor is not None
             sources[name] = worker.monitor.service
-        recovered_retiring: dict[str, "TheftMonitoringService"] = {}
-        for name, wal_dir, checkpoint_path in record.retiring_dirs:
-            if name in sources or name in self._retired:
-                continue
-            result = recover_monitor(
-                wal_dir,
-                detector_factory=self.detector_factory,
-                checkpoint_path=checkpoint_path,
-                events=self.events,
-            )
-            recovered_retiring[name] = result.service
-            sources[name] = result.service
         # Adopt movers on their destinations (skip already-installed).
         # With tracing on, the extract/adopt pair is recorded on the
         # *shard services'* own tracers, parented to the fleet's
@@ -1220,30 +1141,6 @@ class ElasticFleet:
             worker = self._workers.get(name)
             if worker is not None and worker.monitor is not None:
                 self._checkpoint(worker)
-        # Archive retiring shards: their reports stay in the merged
-        # plane, their workers leave the fleet.
-        for name in record.retiring:
-            service = None
-            worker = self._workers.pop(name, None)
-            if worker is not None and worker.monitor is not None:
-                service = worker.monitor.service
-                try:
-                    worker.monitor.close()
-                except Exception:  # noqa: BLE001 - retiring best-effort
-                    pass
-            elif name in recovered_retiring:
-                service = recovered_retiring[name]
-            if service is not None and name not in self._retired:
-                retired_dir = os.path.join(self.base_dir, "retired")
-                os.makedirs(retired_dir, exist_ok=True)
-                archive = os.path.join(retired_dir, f"{name}.ckpt")
-                service.checkpoint(archive)
-                self._retired[name] = service
-                self._retired_checkpoints[name] = archive
-            self._fence.pop(name, None)
-            self.watermarks.high_marks.pop(name, None)
-            self.transport.unregister(name)
-            self._clients.pop(name, None)
         self._phase(on_phase, "finalize")
         self._persist(pending=None)
 
@@ -1256,11 +1153,10 @@ class ElasticFleet:
     ):
         """Extract a mover's state packet, over the wire when possible.
 
-        Handoff sources can be services with no live endpoint (retiring
-        shards recovered during a crash roll-forward); those are called
-        directly.  Active workers go through the transport, so the
-        migration inherits duplicate absorption: a retried extract
-        returns the cached packet instead of extracting twice.
+        A source with no live endpoint is called directly.  Active
+        workers go through the transport, so the migration inherits
+        duplicate absorption: a retried extract returns the cached
+        packet instead of extracting twice.
         """
         worker = self._workers.get(shard)
         if (
@@ -1323,7 +1219,6 @@ class ElasticFleet:
                 "fleet_handoff_roll_forward",
                 moves=len(record.moves),
                 added=list(record.added),
-                retiring=list(record.retiring),
                 cycle=record.cycle,
             )
         if self.tracer is not None:
@@ -1387,14 +1282,6 @@ class ElasticFleet:
         self._update_gauges()
         return drained
 
-    def unreachable_shards(self) -> tuple[str, ...]:
-        """Shards currently marked unreachable over the transport."""
-        return tuple(
-            name
-            for name in sorted(self._workers)
-            if self._workers[name].unreachable
-        )
-
     def shard_lease(self, name: str):
         """The wire-side :class:`~repro.transport.ShardLease` for one
         shard (``None`` when its endpoint holds no lease)."""
@@ -1435,14 +1322,11 @@ class ElasticFleet:
         }
 
     def weekly_reports(self) -> dict[str, list["MonitoringReport"]]:
-        """Per-shard report streams, retired shards included."""
-        streams = {
+        """Per-shard report streams."""
+        return {
             name: list(service.reports)
             for name, service in self.services().items()
         }
-        for name, service in self._retired.items():
-            streams[name] = list(service.reports)
-        return streams
 
     def merged_reports(self) -> list[plane.FleetWeekReport]:
         """Fleet-wide weekly reports (see :mod:`repro.scaleout.plane`)."""
@@ -1455,20 +1339,10 @@ class ElasticFleet:
         return plane.merged_signature(self.weekly_reports())
 
     def merged_metrics(self) -> "MetricsRegistry":
-        """Fleet-wide metrics registry (shards + retired, folded)."""
-        registries = [
-            service.metrics for service in self.services().values()
-        ]
-        registries.extend(
-            service.metrics for service in self._retired.values()
+        """Fleet-wide metrics registry (every shard's, folded)."""
+        return plane.merge_metrics(
+            [service.metrics for service in self.services().values()]
         )
-        return plane.merge_metrics(registries)
-
-    def merged_revisions(self) -> "RevisionLog":
-        """Fleet-wide revision log (shards + retired, merged)."""
-        logs = [service.revisions for service in self.services().values()]
-        logs.extend(service.revisions for service in self._retired.values())
-        return plane.merge_revisions(logs)
 
     def reading_series(self) -> dict[str, np.ndarray]:
         """Union of every active shard's reading store, by consumer
@@ -1480,15 +1354,12 @@ class ElasticFleet:
 
     def tracers(self) -> list:
         """Every tracer with fleet spans: the fleet's own plus each
-        shard service's (retired included) — the input to
+        shard service's — the input to
         :func:`~repro.observability.tracing.stitch_traces`."""
         out = []
         if self.tracer is not None:
             out.append(self.tracer)
         for service in self.services().values():
-            if service.tracer is not None:
-                out.append(service.tracer)
-        for service in self._retired.values():
             if service.tracer is not None:
                 out.append(service.tracer)
         return out
@@ -1507,13 +1378,10 @@ class ElasticFleet:
 
     def observability_registry(self) -> "MetricsRegistry":
         """Merged shard metrics plus the fleet's own gauges."""
-        registries = [
-            service.metrics for service in self.services().values()
-        ]
-        registries.extend(
-            service.metrics for service in self._retired.values()
+        return plane.merge_observability(
+            [service.metrics for service in self.services().values()],
+            self.metrics,
         )
-        return plane.merge_observability(registries, self.metrics)
 
     def observe_slo(self) -> None:
         """Record one SLO compliance point (no-op without a tracker).

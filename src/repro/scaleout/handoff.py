@@ -66,11 +66,9 @@ class HandoffRecord:
     """The pending-handoff record committed in the fleet manifest.
 
     ``moves`` lists ``(consumer_id, source_shard, destination_shard)``;
-    ``added``/``retiring`` name shards entering/leaving the fleet;
-    ``cycle`` is the quiesced cycle every shard sat at when the record
-    was committed.  ``retiring_dirs`` keeps each retiring shard's
-    durable locations so roll-forward can still recover its state after
-    the shard has left the active topology.  ``trace`` optionally
+    ``added`` names the shards entering the fleet; ``cycle`` is the
+    quiesced cycle every shard sat at when the record was committed.
+    ``trace`` optionally
     carries the originating handoff span's serialized
     :class:`~repro.observability.tracing.TraceContext`, so a crash
     roll-forward in a *new process* still stitches into the trace of
@@ -79,18 +77,14 @@ class HandoffRecord:
 
     moves: tuple[tuple[str, str, str], ...]
     added: tuple[str, ...]
-    retiring: tuple[str, ...]
     cycle: int
-    retiring_dirs: tuple[tuple[str, str, str], ...] = ()
     trace: tuple[tuple[str, str], ...] | None = None
 
     def to_json(self) -> dict:
         payload = {
             "moves": [list(move) for move in self.moves],
             "added": list(self.added),
-            "retiring": list(self.retiring),
             "cycle": self.cycle,
-            "retiring_dirs": [list(entry) for entry in self.retiring_dirs],
         }
         if self.trace is not None:
             payload["trace"] = {k: v for k, v in self.trace}
@@ -104,12 +98,7 @@ class HandoffRecord:
                 (str(c), str(s), str(d)) for c, s, d in payload["moves"]
             ),
             added=tuple(str(name) for name in payload["added"]),
-            retiring=tuple(str(name) for name in payload["retiring"]),
             cycle=int(payload["cycle"]),
-            retiring_dirs=tuple(
-                (str(n), str(w), str(c))
-                for n, w, c in payload.get("retiring_dirs", ())
-            ),
             trace=(
                 tuple(sorted((str(k), str(v)) for k, v in trace.items()))
                 if isinstance(trace, Mapping)

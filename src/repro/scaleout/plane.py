@@ -1,7 +1,7 @@
 """Merged verdict/metrics plane over a sharded fleet.
 
-Each shard worker produces its own weekly reports, metrics registry,
-revision log, and reading store.  Operators and equivalence proofs need
+Each shard worker produces its own weekly reports, metrics registry
+and reading store.  Operators and equivalence proofs need
 the *fleet-wide* view — and because the F-DETA framework is purely
 per-consumer, the canonical merged view of an elastic fleet must be
 bit-identical to what one unsharded service over the same roster would
@@ -12,7 +12,6 @@ have produced.  The helpers here build that view deterministically:
   uses) and set-valued fields merged as sorted unions;
 * metrics registries fold through the existing snapshot-merge rules
   (counters/histograms add, gauges last-write-wins);
-* revision logs merge ordered by ``(week, consumer, version)``;
 * ``report_signature``/``merged_signature`` render byte-comparable
   tuples so chaos suites can diff a disturbed fleet against a baseline.
 """
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.eventtime.revision import RevisionLog
 from repro.observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -32,7 +30,6 @@ __all__ = [
     "FleetWeekReport",
     "merge_metrics",
     "merge_observability",
-    "merge_revisions",
     "merge_weekly_reports",
     "merged_signature",
     "report_signature",
@@ -191,25 +188,4 @@ def merge_observability(
     merged = merge_metrics(shard_registries)
     if fleet_registry is not None:
         merged.merge_snapshot(fleet_registry.snapshot())
-    return merged
-
-
-def merge_revisions(logs: Iterable[RevisionLog]) -> RevisionLog:
-    """Union shard revision logs, ordered ``(week, consumer, version)``.
-
-    Versions are per-``(week, consumer)`` and a consumer lives on
-    exactly one shard at a time, so the union preserves every pair's
-    version monotonicity.
-    """
-    merged = RevisionLog()
-    revisions = sorted(
-        (r for log in logs for r in log.revisions),
-        key=lambda r: (r.week_index, r.consumer_id, r.version),
-    )
-    for revision in revisions:
-        merged.revisions.append(revision)
-        key = (revision.week_index, revision.consumer_id)
-        merged._versions[key] = max(
-            merged._versions.get(key, 0), revision.version
-        )
     return merged

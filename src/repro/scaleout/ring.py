@@ -110,13 +110,6 @@ class HashRing:
         self._points.sort()
         self._hashes = [point for point, _ in self._points]
 
-    def remove_shard(self, name: str) -> None:
-        if name not in self._shards:
-            raise ConfigurationError(f"no shard {name!r} on the ring")
-        self._shards.discard(name)
-        self._points = [p for p in self._points if p[1] != name]
-        self._hashes = [point for point, _ in self._points]
-
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------

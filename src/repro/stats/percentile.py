@@ -56,11 +56,3 @@ class EmpiricalDistribution:
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
         return self.percentile(100.0 * (1.0 - alpha))
-
-    def rejects(self, value: float, alpha: float) -> bool:
-        """True when ``value`` is anomalous at upper-tail level ``alpha``."""
-        return float(value) > self.upper_tail_threshold(alpha)
-
-    def cdf(self, value: float) -> float:
-        """Empirical CDF evaluated at ``value``."""
-        return float(np.searchsorted(self.samples, value, side="right")) / self.size

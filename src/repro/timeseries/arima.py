@@ -281,40 +281,3 @@ class ARIMA:
         psi = _psi_weights(fit.phi, fit.theta, d, horizon)
         var = fit.sigma2 * np.cumsum(psi * psi)
         return Forecast(mean=point, std=np.sqrt(var), z=z)
-
-    def forecast_in_sample(self) -> np.ndarray:
-        """One-step-ahead fitted values on the original scale."""
-        fit = self.params
-        assert self._series is not None and self._differenced is not None
-        p, d, q = self.order
-        y = self._differenced
-        eps = _css_residuals(y, fit.intercept, fit.phi, fit.theta)
-        fitted_diff = y - eps
-        if not d:
-            return fitted_diff
-        # y_t(on diff scale) predicted + previous original values rebuilds
-        # the one-step-ahead prediction on the original scale.
-        original = self._series
-        preds = np.empty(fitted_diff.size)
-        for t in range(fitted_diff.size):
-            # fitted_diff[t] predicts difference at original index t + d.
-            base = original[t + d - 1]
-            if d == 1:
-                preds[t] = base + fitted_diff[t]
-            else:
-                # General d: add the predicted d-th difference to the
-                # reconstruction from the previous d original values.
-                window = original[t : t + d]
-                coeffs = [
-                    (-1) ** (k + 1) * _binomial(d, k) for k in range(1, d + 1)
-                ]
-                preds[t] = fitted_diff[t] + sum(
-                    c * window[d - k] for k, c in zip(range(1, d + 1), coeffs)
-                )
-        return preds
-
-
-def _binomial(n: int, k: int) -> float:
-    from math import comb
-
-    return float(comb(n, k))

@@ -25,11 +25,6 @@ class LjungBoxResult:
     lags: int
     dof: int
 
-    @property
-    def residuals_look_white(self) -> bool:
-        """Convenience: no evidence of residual autocorrelation at 5%."""
-        return self.p_value > 0.05
-
 
 def ljung_box(
     residuals: np.ndarray, lags: int = 20, n_fitted_params: int = 0

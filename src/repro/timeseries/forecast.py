@@ -52,19 +52,3 @@ class Forecast:
     def upper(self) -> np.ndarray:
         """Upper confidence bound at the default z."""
         return self.mean + self.z * self.std
-
-    def interval(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Confidence bounds at a caller-supplied z-score."""
-        if z <= 0:
-            raise ConfigurationError(f"z must be positive, got {z}")
-        return self.mean - z * self.std, self.mean + z * self.std
-
-    def contains(self, values: np.ndarray, z: float | None = None) -> np.ndarray:
-        """Boolean mask of which ``values`` fall inside the band."""
-        lo, hi = self.interval(self.z if z is None else z)
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size != self.horizon:
-            raise ConfigurationError(
-                f"expected {self.horizon} values, got {arr.size}"
-            )
-        return (arr >= lo) & (arr <= hi)

@@ -2,9 +2,9 @@
 
 Consumer load shows strong weekly periodicity (Section VII-D: "consumers'
 weekly consumption patterns tend to repeat").  :class:`SeasonalProfile`
-captures the per-slot weekly mean and standard deviation, which the ARIMA
-detectors combine with short-horizon dynamics, and which the synthetic data
-generator uses as ground truth.
+captures the per-slot weekly mean and standard deviation: the
+seasonal-naive forecast of that claim, and the per-slot z-scores of a week
+against it.  The module also fixes the slot constants every layer shares.
 """
 
 from __future__ import annotations
@@ -67,14 +67,6 @@ class SeasonalProfile:
         return cls(
             mean=matrix.mean(axis=0), std=matrix.std(axis=0), period=period
         )
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SeasonalProfile":
-        """Learn a profile from a ``(weeks, period)`` matrix."""
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 2:
-            raise ModelError("matrix must be 2-D with >= 2 rows")
-        return cls(mean=m.mean(axis=0), std=m.std(axis=0), period=m.shape[1])
 
     def predict(self, horizon: int, start_slot: int = 0) -> np.ndarray:
         """Seasonal-naive forecast for ``horizon`` slots from ``start_slot``."""

@@ -194,9 +194,6 @@ class Transport:
         self._endpoints[endpoint.shard] = endpoint
         return endpoint
 
-    def unregister(self, shard: str) -> None:
-        self._endpoints.pop(shard, None)
-
     def endpoint(self, shard: str) -> ShardEndpoint:
         try:
             return self._endpoints[shard]

@@ -123,13 +123,6 @@ class FaultyTransport(InProcTransport):
         for shard in sorted(self._held):
             self._flush_held(shard)
 
-    def reachable(self, shard: str) -> bool:
-        return shard not in self._severed
-
-    @property
-    def severed(self) -> tuple[str, ...]:
-        return tuple(sorted(self._severed))
-
     # -- delivery ------------------------------------------------------
 
     def _record(self, event: FaultEvent, op: str) -> None:

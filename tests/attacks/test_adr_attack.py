@@ -78,7 +78,7 @@ class TestADRAttack:
         node's aggregate matches the reported aggregate."""
         attack = ADRPriceAttack(pricing=rtp)
         vector = attack.inject(injection_context, rng)
-        extra = attack.mallory_extra_consumption(vector)
+        extra = np.maximum(vector.reported - vector.actual, 0.0)
         assert np.allclose(vector.actual + extra, vector.reported)
 
     def test_rejects_flat_rate(self):

@@ -50,9 +50,6 @@ class TestClassProperties:
         assert not AttackClass.CLASS_3A.possible_flat_rate
         assert not AttackClass.CLASS_3B.possible_flat_rate
 
-    def test_proposition1_under_reporting_universal(self):
-        assert all(cls.under_reports_attacker for cls in AttackClass)
-
     def test_over_report_matches_b_classes(self):
         for cls in AttackClass:
             assert cls.over_reports_neighbour == cls.circumvents_balance_check

@@ -16,9 +16,10 @@ def fitted(train_matrix):
 
 
 class TestConditioning:
-    def test_two_price_levels_for_tou(self, fitted):
-        assert len(fitted.price_levels) == 2
-        assert set(fitted.price_levels) == {0.18, 0.21}
+    def test_two_price_levels_for_tou(self, fitted, train_matrix):
+        levels = fitted.divergences_of(train_matrix[0])
+        assert len(levels) == 2
+        assert set(levels) == {0.18, 0.21}
 
     def test_divergences_per_level(self, fitted, train_matrix):
         divergences = fitted.divergences_of(train_matrix[0])
@@ -32,7 +33,7 @@ class TestConditioning:
     def test_unfitted_raises(self):
         detector = PriceConditionedKLDDetector(pricing=TimeOfUsePricing())
         with pytest.raises(NotFittedError):
-            detector.price_levels
+            detector.divergences_of(np.zeros(336))
 
 
 class TestSwapDetection:
@@ -95,7 +96,7 @@ class TestConfiguration:
         prices = np.tile(np.array([0.1, 0.2, 0.3]), 112)
         scheme = RealTimePricing(prices=prices, update_period=1)
         detector = PriceConditionedKLDDetector(pricing=scheme).fit(train_matrix)
-        assert len(detector.price_levels) == 3
+        assert len(detector.divergences_of(train_matrix[0])) == 3
 
 
 class TestBatchedFitMatchesPerWeek:

@@ -11,6 +11,7 @@ from repro.core.kld import KLDDetector
 from repro.errors import ConfigurationError, DataError
 from repro.grid.balance import BalanceAuditor
 from repro.grid.builder import build_figure2_topology
+from repro.grid.investigation import deepest_failure_investigation
 from repro.grid.snapshot import DemandSnapshot
 
 
@@ -62,7 +63,6 @@ class TestAssessment:
         # Normal weeks are usually unflagged (95% by construction).
         if not assessment.result.flagged:
             assert assessment.nature is AnomalyNature.NORMAL
-            assert not assessment.needs_investigation
 
     def test_step3_high_readings_mean_victim(self, framework, paper_dataset):
         """Proposition 2 in the pipeline: abnormally high readings mark
@@ -86,15 +86,6 @@ class TestAssessment:
         evidence = ExternalEvidence(holiday_weeks=frozenset({3}))
         assessment = framework.assess_week(cid, week, week_index=3, evidence=evidence)
         assert assessment.false_positive_suspected
-        assert not assessment.needs_investigation
-
-    def test_population_assessment(self, framework, paper_dataset):
-        weeks = {
-            cid: paper_dataset.test_matrix(cid)[0]
-            for cid in paper_dataset.consumers()[:4]
-        }
-        out = framework.assess_population(weeks)
-        assert set(out) == set(weeks)
 
 
 class TestStep5Investigation:
@@ -105,8 +96,9 @@ class TestStep5Investigation:
         snap = DemandSnapshot(topology=topo, actual=actual).with_reported(
             {"C4": 0.5}
         )
-        result = FDetaFramework.investigate(auditor, snap)
-        assert result is not None
+        report = auditor.audit(snap)
+        assert report.any_failure
+        result = deepest_failure_investigation(topo, report)
         assert "C4" in result.suspect_consumers
 
     def test_balanced_attack_yields_none(self):
@@ -119,4 +111,4 @@ class TestStep5Investigation:
         snap = DemandSnapshot(topology=topo, actual=actual).with_reported(
             {"C4": 2.0, "C5": 5.0}  # neighbour over-reported
         )
-        assert FDetaFramework.investigate(auditor, snap) is None
+        assert not auditor.audit(snap).any_failure

@@ -51,7 +51,7 @@ class TestValidation:
 
     def test_default_type_unclassified(self):
         ds = make_dataset()
-        assert ds.type_of("c0") is ConsumerType.UNCLASSIFIED
+        assert ds.consumer_types["c0"] is ConsumerType.UNCLASSIFIED
 
 
 class TestAccess:
@@ -66,15 +66,15 @@ class TestAccess:
     def test_train_test_partition(self):
         ds = make_dataset()
         cid = "c1"
-        joined = np.concatenate([ds.train_series(cid), ds.test_series(cid)])
+        joined = np.concatenate(
+            [ds.train_series(cid), ds.test_matrix(cid).ravel()]
+        )
         assert np.array_equal(joined, ds.series(cid))
 
     def test_unknown_consumer(self):
         ds = make_dataset()
         with pytest.raises(DataError):
             ds.series("ghost")
-        with pytest.raises(DataError):
-            ds.type_of("ghost")
 
     def test_consumers_sorted(self):
         ds = make_dataset(n_consumers=5)
@@ -89,12 +89,6 @@ class TestAccess:
         }
         ds = SmartMeterDataset(readings=readings, train_weeks=1)
         assert ds.consumers_by_size() == ("large", "medium", "small")
-
-    def test_mean_demand(self):
-        ds = SmartMeterDataset(
-            readings={"c": np.full(2 * SLOTS_PER_WEEK, 1.5)}, train_weeks=1
-        )
-        assert ds.mean_demand("c") == pytest.approx(1.5)
 
     def test_subset(self):
         ds = make_dataset(n_consumers=4)

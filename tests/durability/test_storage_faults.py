@@ -168,19 +168,17 @@ class TestDiskFullDegradedMode:
         assert metrics.gauge("fdeta_storage_degraded").value() == 1.0
         totals = metrics.totals()
         assert totals[("fdeta_storage_degraded_entries_total", ())] == 1.0
-        # While degraded, deliveries are rejected up front — no WAL
-        # touch, no clock movement.
-        with pytest.raises(StorageDegradedError, match="read-only"):
-            monitor.ingest_cycle(_readings(failed_at))
-        assert service.cycles_ingested == failed_at
-        # Space frees (the schedule is exhausted); the probe is a real
-        # durable write, and re-delivery from the failed cycle converges
-        # on the undisturbed run's verdicts.
-        assert monitor.try_resume()
+        # Space frees (the schedule is exhausted).  Re-delivering the
+        # refused cycle probes the volume with a real durable write,
+        # leaves degraded mode and ingests the cycle in the same call.
+        monitor.ingest_cycle(_readings(failed_at))
         assert not monitor.read_only
+        assert service.cycles_ingested == failed_at + 1
         assert not signal.engaged
         assert metrics.gauge("fdeta_storage_degraded").value() == 0.0
-        for t in range(failed_at, WEEKS * SLOTS_PER_WEEK):
+        # Re-delivery from the failed cycle converges on the
+        # undisturbed run's verdicts.
+        for t in range(failed_at + 1, WEEKS * SLOTS_PER_WEEK):
             monitor.ingest_cycle(_readings(t))
         monitor.close()
         assert _signature(service) == _baseline_signature()
@@ -198,12 +196,15 @@ class TestDiskFullDegradedMode:
         )
         with pytest.raises(StorageDegradedError):
             monitor.ingest_cycle(_readings(0))
-        # The probe's fsync hits the still-full disk: stays read-only.
-        assert not monitor.try_resume()
+        # The re-delivery's probe hits the still-full disk: the cycle is
+        # refused up front, with no clock movement.
+        with pytest.raises(StorageDegradedError, match="still full"):
+            monitor.ingest_cycle(_readings(0))
         assert monitor.read_only
-        # Second probe finds space (schedule exhausted).
-        assert monitor.try_resume()
+        assert service.cycles_ingested == 0
+        # The next re-delivery's probe finds space (schedule exhausted).
         monitor.ingest_cycle(_readings(0))
+        assert not monitor.read_only
         assert service.cycles_ingested == 1
         monitor.close()
 

@@ -175,7 +175,9 @@ class TestLateRouting:
         assert outcome.too_late == 1
         counts = service.firewall.store.counts_by_reason()
         assert counts.get("too_late") == 1
-        (record,) = service.firewall.store.for_consumer("c1")
+        (record,) = [
+            r for r in service.firewall.store.records if r.consumer_id == "c1"
+        ]
         assert record.declared_slot == 3
 
     def test_late_reading_within_grace_reconciles(self):

@@ -80,7 +80,7 @@ class TestOccupancy:
         assert buffer.span == 0
         _offer(buffer, "c1", 2)
         _offer(buffer, "c1", 7)
-        assert buffer.pending_slots == 2
+        assert len(buffer.pending) == 2
         assert buffer.span == 8  # cursor 0 through newest slot 7
 
     def test_state_roundtrip(self):

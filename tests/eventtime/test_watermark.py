@@ -37,14 +37,6 @@ class TestWatermark:
         # A never-seen meter trails the whole frontier.
         assert tracker.consumer_lag("ghost") == 51
 
-    def test_lagging_is_sorted_and_thresholded(self):
-        tracker = WatermarkTracker(lateness_slots=0)
-        tracker.observe("b", 10)
-        tracker.observe("a", 10)
-        tracker.observe("z", 100)
-        assert tracker.lagging(50) == ("a", "b")
-        assert tracker.lagging(90) == ()
-
     def test_state_roundtrip(self):
         tracker = WatermarkTracker(lateness_slots=4)
         tracker.observe("c1", 17)

@@ -15,9 +15,8 @@ def fig2():
 
 def snapshot(topo, reported_overrides=None, actual_overrides=None):
     actual = {"C1": 1.0, "C2": 2.0, "C3": 3.0, "C4": 4.0, "C5": 5.0}
+    actual.update(actual_overrides or {})
     snap = DemandSnapshot(topology=topo, actual=actual)
-    if actual_overrides:
-        snap = snap.with_actual(actual_overrides)
     if reported_overrides:
         snap = snap.with_reported(reported_overrides)
     return snap
@@ -48,7 +47,7 @@ class TestBalanceCheck:
             snapshot(fig2, reported_overrides={"C4": 1.0}), "N3"
         )
         # Measured exceeds reported: 3 kW unaccounted.
-        assert check.discrepancy == pytest.approx(3.0)
+        assert check.measured - check.reported_sum == pytest.approx(3.0)
 
     def test_tolerance_absorbs_meter_noise(self, fig2):
         auditor = BalanceAuditor(fig2, tolerance=0.5)
@@ -104,7 +103,10 @@ class TestCompromisedMeters:
         auditor = BalanceAuditor(fig2)
         count = auditor.compromise_path("C4")
         assert count == 1  # only N3; N1 (root) spared
-        assert auditor.compromised_meters == ("N3",)
+        report = auditor.audit(snapshot(fig2, reported_overrides={"C4": 1.0}))
+        checks = report.checks.items()
+        forged = [nid for nid, check in checks if check.compromised_meter]
+        assert forged == ["N3"]
 
     def test_compromise_path_including_root(self, fig2):
         auditor = BalanceAuditor(fig2)

@@ -66,10 +66,13 @@ class TestImpedanceLossModel:
         """An honest grid with impedance losses still balances: the
         utility calculates the loss leaves (Section V-A)."""
         from repro.grid.balance import BalanceAuditor
+        from repro.grid.snapshot import DemandSnapshot
 
         model = ImpedanceLossModel.uniform(fig2)
         demands = {c: 5.0 for c in fig2.consumers()}
-        snapshot = model.snapshot_with_losses(demands)
+        snapshot = DemandSnapshot(
+            topology=fig2, actual=demands, losses=model.compute_losses(demands)
+        )
         auditor = BalanceAuditor(fig2)
         assert not auditor.audit(snapshot).any_failure
 

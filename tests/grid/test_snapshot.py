@@ -83,7 +83,3 @@ class TestValidation:
         with pytest.raises(TopologyError):
             snap.with_reported({"ghost": 1.0})
 
-    def test_with_actual_override(self, fig2):
-        snap = make_snapshot(fig2).with_actual({"C1": 9.0})
-        assert snap.actual["C1"] == 9.0
-        assert snap.reported["C1"] == 1.0  # reported untouched

@@ -57,7 +57,8 @@ class TestHonestOperation:
         for t in range(100):
             demands = {cid: float(series[cid][t]) for cid in CONSUMERS}
             report = auditor.audit(ami.snapshot(demands, rng))
-            residuals.append(report.checks[topo.root_id].discrepancy)
+            root = report.checks[topo.root_id]
+            residuals.append(root.measured - root.reported_sum)
         assert np.allclose(residuals, 0.0, atol=1e-9)
 
 

@@ -114,8 +114,9 @@ class TestIntegrityDefense:
         service, _ = integrity_run
         records = [
             record
-            for record in service.firewall.store.for_consumer(ATTACKER)
-            if record.reason is QuarantineReason.POISON_SUSPECT
+            for record in service.firewall.store.records
+            if record.consumer_id == ATTACKER
+            and record.reason is QuarantineReason.POISON_SUSPECT
         ]
         assert sorted(r.declared_slot for r in records) == EXPECTED_SUSPECTS
         assert all(r.detail for r in records)

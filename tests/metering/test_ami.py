@@ -59,18 +59,19 @@ class TestRootBalance:
         for _ in range(4):
             snap = ami.snapshot(demands(ami.topology), rng)
             check = self.audit_root(ami, snap)
-            assert check.discrepancy == pytest.approx(0.0)
+            assert check.measured - check.reported_sum == pytest.approx(0.0)
             assert not check.w_event
 
     def test_residuals_positive_under_theft(self, ami, rng):
         ami.meter("C3").compromise(lambda m: 0.0)
         snap = ami.snapshot(demands(ami.topology), rng)
         check = self.audit_root(ami, snap)
-        assert check.discrepancy == pytest.approx(2.0)  # C3's 2 kW unaccounted
+        # C3's 2 kW are unaccounted.
+        assert check.measured - check.reported_sum == pytest.approx(2.0)
         assert check.w_event
 
     def test_residuals_account_for_losses(self, ami, rng):
         snap = ami.snapshot(demands(ami.topology), rng, losses={"L1": 0.7})
         check = self.audit_root(ami, snap)
-        assert check.discrepancy == pytest.approx(0.0)
+        assert check.measured - check.reported_sum == pytest.approx(0.0)
         assert check.measured == pytest.approx(5 * 2.0 + 0.7)

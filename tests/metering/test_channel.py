@@ -58,14 +58,7 @@ class TestLossyChannel:
 
 
 class TestChannelLifecycle:
-    """Regression tests for reset(), silence() and copy semantics."""
-
-    def test_reset_clears_outages(self, rng):
-        channel = LossyChannel(drop_rate=0.0, outage_rate=0.0)
-        channel._outages["m"] = 10
-        channel.reset()
-        assert not channel.in_outage("m")
-        assert channel.transmit({"m": 1.0}, rng) == {"m": 1.0}
+    """Regression tests for silence() and copy semantics."""
 
     def test_silence_forever(self, rng):
         channel = LossyChannel(drop_rate=0.0, outage_rate=0.0)

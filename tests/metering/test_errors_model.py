@@ -23,7 +23,9 @@ class TestCalibration:
     def test_empirical_matches_analytical(self, rng):
         model = MeasurementErrorModel()
         true_value = 10.0
-        readings = model.apply_many(np.full(200_000, true_value), rng)
+        readings = np.array(
+            [model.apply(true_value, rng) for _ in range(200_000)]
+        )
         rel_err = np.abs(readings - true_value) / true_value
         assert np.mean(rel_err < 0.005) == pytest.approx(0.9991, abs=0.001)
 
@@ -36,7 +38,7 @@ class TestApply:
 
     def test_never_negative(self, rng):
         model = MeasurementErrorModel(sigma=2.0)  # absurdly noisy
-        readings = model.apply_many(np.full(1000, 0.01), rng)
+        readings = np.array([model.apply(0.01, rng) for _ in range(1000)])
         assert np.all(readings >= 0.0)
 
     def test_zero_demand_stays_zero_exact(self, rng):
@@ -46,8 +48,6 @@ class TestApply:
         model = MeasurementErrorModel()
         with pytest.raises(ConfigurationError):
             model.apply(-1.0, rng)
-        with pytest.raises(ConfigurationError):
-            model.apply_many(np.array([-1.0]), rng)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ConfigurationError):
@@ -56,9 +56,3 @@ class TestApply:
     def test_rejects_bad_band(self):
         with pytest.raises(ConfigurationError):
             MeasurementErrorModel().within_band_probability(0.0)
-
-    def test_vectorised_matches_scalar_statistics(self, rng):
-        model = MeasurementErrorModel(sigma=0.01)
-        many = model.apply_many(np.full(50_000, 5.0), rng)
-        assert many.mean() == pytest.approx(5.0, rel=1e-3)
-        assert many.std() == pytest.approx(0.05, rel=0.05)

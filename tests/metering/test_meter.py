@@ -20,7 +20,6 @@ class TestHonestMeter:
     def test_reports_what_it_measures(self, rng):
         meter = exact_meter()
         assert meter.report(4.2, rng) == 4.2
-        assert not meter.is_compromised
 
     def test_measurement_error_applied(self, rng):
         meter = SmartMeter(meter_id="m1", consumer_id="c1")
@@ -38,14 +37,12 @@ class TestTampering:
         meter = exact_meter()
         meter.compromise(lambda measured: measured * 0.5)
         assert meter.report(8.0, rng) == 4.0
-        assert meter.is_compromised
 
     def test_restore_removes_tamper(self, rng):
         meter = exact_meter()
         meter.compromise(lambda measured: 0.0)
         meter.restore()
         assert meter.report(8.0, rng) == 8.0
-        assert not meter.is_compromised
 
     def test_tamper_function_cannot_report_negative(self, rng):
         meter = exact_meter()
@@ -87,8 +84,8 @@ class TestMeasure:
         meter.install_upstream_tap(10.0)
         assert meter.measure(3.0, rng) == 0.0
 
-    def test_has_tap_flag(self):
+    def test_has_tap_flag(self, rng):
         meter = exact_meter()
-        assert not meter.has_tap
+        assert meter.measure(3.0, rng) == 3.0
         meter.install_upstream_tap(1.0)
-        assert meter.has_tap
+        assert meter.measure(3.0, rng) == 2.0

@@ -104,16 +104,6 @@ class TestOutageBatching:
         with pytest.raises(ConfigurationError):
             ScramblingChannel().silence("a", until_slot=-1)
 
-    def test_reset_clears_everything(self):
-        channel = ScramblingChannel(median_delay_slots=5.0)
-        rng = np.random.default_rng(4)
-        channel.silence("a", until_slot=100)
-        channel.push(0, {"a": 1.0, "b": 2.0}, rng)
-        assert channel.pending > 0
-        channel.reset()
-        assert channel.pending == 0
-        assert not channel.in_outage("a", 0)
-
 
 class TestScrambleSeries:
     def test_batches_cover_every_finite_reading(self):

@@ -48,7 +48,7 @@ class TestReadingStore:
         second = rng.uniform(0, 2, size=SLOTS_PER_WEEK)
         store.extend("c1", first)
         store.extend("c1", second)
-        assert np.allclose(store.latest_week("c1"), second)
+        assert np.allclose(store.week_matrix("c1")[-1], second)
 
     def test_consumers_and_length(self):
         store = ReadingStore()
@@ -64,7 +64,7 @@ class TestGapMarkers:
 
     def test_append_rejects_nan(self):
         store = ReadingStore()
-        with pytest.raises(MeteringError, match="append_gap"):
+        with pytest.raises(MeteringError, match="append_column"):
             store.append("c1", float("nan"))
 
     def test_append_rejects_inf(self):
@@ -80,7 +80,7 @@ class TestGapMarkers:
     def test_append_gap_keeps_series_aligned(self):
         store = ReadingStore()
         store.append("c1", 1.0)
-        store.append_gap("c1")
+        store.append_column(("c1",), (np.nan,))
         store.append("c1", 3.0)
         series = store.series("c1")
         assert series.size == 3
@@ -89,11 +89,11 @@ class TestGapMarkers:
 
     def test_gap_count(self):
         store = ReadingStore()
-        assert store.gap_count("c1") == 0
         store.append("c1", 1.0)
-        store.append_gap("c1")
-        store.append_gap("c1")
-        assert store.gap_count("c1") == 2
+        assert int(np.isnan(store.series("c1")).sum()) == 0
+        store.append_column(("c1",), (np.nan,))
+        store.append_column(("c1",), (np.nan,))
+        assert int(np.isnan(store.series("c1")).sum()) == 2
 
     def test_clear_drops_series(self):
         store = ReadingStore()
@@ -105,6 +105,8 @@ class TestGapMarkers:
 
 
 class TestOverwriteWeek:
+    """One consumer's week written back through write_week_block."""
+
     def _store_with_weeks(self, rng, weeks=2):
         store = ReadingStore()
         store.extend("c1", rng.uniform(0, 2, size=weeks * SLOTS_PER_WEEK))
@@ -113,37 +115,37 @@ class TestOverwriteWeek:
     def test_overwrites_in_place(self, rng):
         store = self._store_with_weeks(rng)
         repaired = np.full(SLOTS_PER_WEEK, 0.5)
-        store.overwrite_week("c1", 0, repaired)
+        store.write_week_block(("c1",), 0, repaired[None])
         assert np.array_equal(store.week_matrix("c1")[0], repaired)
 
     def test_residual_nan_gaps_allowed(self, rng):
         store = self._store_with_weeks(rng)
         week = np.full(SLOTS_PER_WEEK, 0.5)
         week[10:16] = np.nan
-        store.overwrite_week("c1", 1, week)
-        assert store.gap_count("c1") == 6
+        store.write_week_block(("c1",), 1, week[None])
+        assert int(np.isnan(store.series("c1")).sum()) == 6
 
     def test_rejects_wrong_size(self, rng):
         store = self._store_with_weeks(rng)
         with pytest.raises(DataError):
-            store.overwrite_week("c1", 0, np.ones(10))
+            store.write_week_block(("c1",), 0, np.ones((1, 10)))
 
     def test_rejects_negative_and_inf(self, rng):
         store = self._store_with_weeks(rng)
         bad = np.full(SLOTS_PER_WEEK, 0.5)
         bad[0] = -1.0
         with pytest.raises(MeteringError):
-            store.overwrite_week("c1", 0, bad)
+            store.write_week_block(("c1",), 0, bad[None])
         bad[0] = np.inf
         with pytest.raises(MeteringError):
-            store.overwrite_week("c1", 0, bad)
+            store.write_week_block(("c1",), 0, bad[None])
 
     def test_rejects_out_of_range_week(self, rng):
         store = self._store_with_weeks(rng, weeks=1)
         with pytest.raises(DataError):
-            store.overwrite_week("c1", 1, np.ones(SLOTS_PER_WEEK))
+            store.write_week_block(("c1",), 1, np.ones((1, SLOTS_PER_WEEK)))
         with pytest.raises(DataError):
-            store.overwrite_week("ghost", 0, np.ones(SLOTS_PER_WEEK))
+            store.write_week_block(("ghost",), 0, np.ones((1, SLOTS_PER_WEEK)))
 
 
 class TestSlotAddressedRecord:
@@ -172,10 +174,10 @@ class TestSlotAddressedRecord:
 
     def test_duplicate_fills_a_gap_without_counting_length(self):
         store = ReadingStore()
-        store.append_gap("c1")
+        store.append_column(("c1",), (np.nan,))
         assert store.record("c1", 0, 5.0) is False
         assert store.length("c1") == 1
-        assert store.gap_count("c1") == 0
+        assert int(np.isnan(store.series("c1")).sum()) == 0
 
     def test_duplicates_counted_in_metric(self):
         from repro.observability.metrics import MetricsRegistry
@@ -220,7 +222,7 @@ class TestColumnWrite:
         assert store.consumers() == ("a", "b")
         assert np.array_equal(store.series("a"), [1.0, 2.0])
         assert np.array_equal(store.series("b"), [np.nan, 3.0], equal_nan=True)
-        assert store.gap_count("b") == 1
+        assert int(np.isnan(store.series("b")).sum()) == 1
 
     def test_rejects_inf_and_negative_with_one_mask(self):
         store = ReadingStore()

@@ -142,51 +142,8 @@ class TestClose:
         stream.close()  # caller closes its own stream first
         logger.close()  # flush on the dead stream must not raise
 
-    def test_close_detaches_bridge_handlers_everywhere(self):
-        stream = io.StringIO()
-        events = EventLogger(stream=stream)
-        handler = events.stdlib_handler()
-        named = logging.getLogger("test.observability.bridge.detach")
-        named.propagate = False
-        named.addHandler(handler)
-        logging.getLogger().addHandler(handler)
-        try:
-            events.close()
-            assert handler not in named.handlers
-            assert handler not in logging.getLogger().handlers
-            # A post-close record must not resurrect writes to the sink.
-            before = stream.getvalue()
-            named.warning("orphaned")
-            assert stream.getvalue() == before
-        finally:
-            named.removeHandler(handler)
-            logging.getLogger().removeHandler(handler)
-
-    def test_close_forgets_detached_handlers(self):
-        events = EventLogger(stream=io.StringIO())
-        events.stdlib_handler()
-        events.close()
-        assert events._bridge_handlers == []
-
 
 class TestStdlibBridge:
-    def test_stdlib_records_route_into_jsonl(self):
-        stream = io.StringIO()
-        events = EventLogger(stream=stream)
-        stdlib = logging.getLogger("test.observability.bridge.in")
-        stdlib.propagate = False
-        handler = events.stdlib_handler()
-        stdlib.addHandler(handler)
-        try:
-            stdlib.warning("link %s flapping", "ami-7")
-        finally:
-            stdlib.removeHandler(handler)
-        record = _lines(stream)[0]
-        assert record["event"] == "link ami-7 flapping"
-        assert record["level"] == "warning"
-        assert record["logger"] == "test.observability.bridge.in"
-        assert record["stdlib_level"] == "WARNING"
-
     def test_forward_to_mirrors_events_out(self, caplog):
         stream = io.StringIO()
         events = EventLogger(

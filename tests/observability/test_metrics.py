@@ -59,7 +59,7 @@ class TestGauge:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec(4)
+        gauge.inc(-4)
         assert gauge.value() == 3.0
 
     def test_labelled(self):
@@ -86,6 +86,34 @@ class TestHistogram:
         hist = MetricsRegistry().histogram("lat", buckets=(1.0, 2.0))
         hist.observe(1.0)
         assert hist.cumulative_buckets()[0] == (1.0, 1)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # on every bound, between bounds, below the first bound
+            [0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.9, -1.0],
+            # above the last bound, and NaN: only the +Inf bucket
+            [0.3, 1.5, float("nan"), 0.5, float("inf"), 0.1 + 0.2],
+            # many values whose float sum depends on the order
+            [0.1 * k for k in range(1, 200)] + [1e-17, 3.3, 1e16, 1.0],
+        ],
+    )
+    def test_observe_many_matches_observe_one_by_one(self, values):
+        buckets = (0.25, 0.5, 0.75, 1.0)
+        one, many = MetricsRegistry(), MetricsRegistry()
+        single = one.histogram("cov", labels=("shard",), buckets=buckets)
+        for value in values:
+            single.observe(value, shard="a")
+        many.histogram("cov", labels=("shard",), buckets=buckets).observe_many(
+            iter(values), shard="a"
+        )
+        assert many.to_prometheus() == one.to_prometheus()
+
+    def test_observe_many_of_nothing_adds_no_sample(self):
+        empty, declared = MetricsRegistry(), MetricsRegistry()
+        empty.histogram("cov", buckets=(0.5, 1.0)).observe_many([])
+        declared.histogram("cov", buckets=(0.5, 1.0))
+        assert empty.to_prometheus() == declared.to_prometheus()
 
     def test_time_context_manager_observes_duration(self):
         hist = MetricsRegistry().histogram("lat")
@@ -378,7 +406,8 @@ class TestSnapshotMerge:
 
     def test_from_snapshot_reconstructs(self):
         original = self._populated()
-        clone = MetricsRegistry.from_snapshot(original.snapshot())
+        clone = MetricsRegistry()
+        clone.merge_snapshot(original.snapshot())
         assert clone.to_prometheus() == original.to_prometheus()
 
     def test_counters_and_histograms_add(self):

@@ -136,8 +136,3 @@ class TestReporting:
         self._loaded().write(path)
         payload = json.loads(path.read_text())
         assert payload["stages"]["hot"]["calls"] == 1
-
-    def test_reset_drops_stats(self):
-        profiler = self._loaded()
-        profiler.reset()
-        assert profiler.snapshot() == {}

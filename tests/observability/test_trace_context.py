@@ -53,11 +53,11 @@ class TestSpanIdentity:
 
     def test_current_context_tracks_the_innermost_span(self):
         tracer = Tracer(name="t")
-        assert tracer.current_context() is None
+        assert tracer.active is None
         with tracer.span("outer"):
             with tracer.span("inner") as inner:
-                assert tracer.current_context() == inner.context
-        assert tracer.current_context() is None
+                assert tracer.active.context == inner.context
+        assert tracer.active is None
 
     def test_explicit_parent_joins_the_remote_trace(self):
         fleet = Tracer(name="fleet")
@@ -85,7 +85,7 @@ class TestStitchTraces:
         dst = Tracer(name="shard-b")
         root = fleet.start_span("shard_handoff")
         with fleet.span("install"):
-            context = fleet.current_context()
+            context = fleet.active.context
             with src.span("extract_consumer", parent=context, consumer="c1"):
                 pass
             with dst.span("adopt_consumer", parent=context, consumer="c1"):

@@ -50,28 +50,30 @@ class TestElasticConsumer:
 class TestADRInterface:
     def test_honest_interface_passes_price_through(self):
         adr = ADRInterface(consumer=ElasticConsumer())
-        assert adr.seen_price(0.25) == 0.25
-        assert not adr.is_compromised
+        seen = adr.respond_vector(np.array([2.0]), np.array([0.25]))
+        assert seen[0] == pytest.approx(adr.consumer.demand(2.0, 0.25))
 
     def test_compromise_inflates_price(self):
         adr = ADRInterface(consumer=ElasticConsumer())
         adr.compromise(1.5)
-        assert adr.seen_price(0.2) == pytest.approx(0.3)
-        assert adr.is_compromised
+        seen = adr.respond_vector(np.array([2.0]), np.array([0.2]))
+        assert seen[0] == pytest.approx(adr.consumer.demand(2.0, 0.3))
 
     def test_compromise_suppresses_demand(self):
         """The 4B mechanism: inflated price -> ADR sheds load."""
         adr = ADRInterface(consumer=ElasticConsumer(elasticity=-0.5))
-        honest = adr.respond(2.0, 0.2)
+        base, prices = np.array([2.0]), np.array([0.2])
+        honest = adr.respond_vector(base, prices)
         adr.compromise(2.0)
-        suppressed = adr.respond(2.0, 0.2)
-        assert suppressed < honest
+        suppressed = adr.respond_vector(base, prices)
+        assert suppressed[0] < honest[0]
 
     def test_restore(self):
         adr = ADRInterface(consumer=ElasticConsumer())
         adr.compromise(2.0)
         adr.restore()
-        assert not adr.is_compromised
+        seen = adr.respond_vector(np.array([2.0]), np.array([0.2]))
+        assert seen[0] == pytest.approx(adr.consumer.demand(2.0, 0.2))
 
     def test_respond_vector(self, rng):
         adr = ADRInterface(consumer=ElasticConsumer())

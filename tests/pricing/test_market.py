@@ -25,12 +25,6 @@ def market():
 
 
 class TestCurves:
-    def test_supply_steps(self, market):
-        assert market.supply_at(0.05) == 0.0
-        assert market.supply_at(0.10) == 100.0
-        assert market.supply_at(0.25) == 150.0
-        assert market.supply_at(1.00) == 180.0
-
     def test_demand_decreasing_in_price(self, market):
         d_low = market.demand_at(100.0, 0.10)
         d_high = market.demand_at(100.0, 0.40)
@@ -123,7 +117,5 @@ class TestValidation:
             Generator("g", capacity_kw=10.0, marginal_cost=-0.1)
 
     def test_rejects_bad_price_queries(self, market):
-        with pytest.raises(PricingError):
-            market.supply_at(-0.1)
         with pytest.raises(PricingError):
             market.demand_at(10.0, 0.0)

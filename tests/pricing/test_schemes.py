@@ -44,9 +44,9 @@ class TestTimeOfUse:
 
     def test_peak_window_daily_periodic(self):
         tariff = TimeOfUsePricing()
-        assert tariff.is_peak(18)
-        assert tariff.is_peak(18 + SLOTS_PER_DAY)
-        assert not tariff.is_peak(SLOTS_PER_DAY)  # next midnight
+        assert tariff.peak_mask(1, start=18)[0]
+        assert tariff.peak_mask(1, start=18 + SLOTS_PER_DAY)[0]
+        assert not tariff.peak_mask(1, start=SLOTS_PER_DAY)[0]  # next midnight
 
     def test_peak_mask_week(self):
         mask = TimeOfUsePricing().peak_mask(SLOTS_PER_WEEK)
@@ -58,9 +58,9 @@ class TestTimeOfUse:
 
     def test_custom_window(self):
         tariff = TimeOfUsePricing(peak_start_slot=10, peak_end_slot=20)
-        assert not tariff.is_peak(9)
-        assert tariff.is_peak(10)
-        assert not tariff.is_peak(20)
+        assert not tariff.peak_mask(1, start=9)[0]
+        assert tariff.peak_mask(1, start=10)[0]
+        assert not tariff.peak_mask(1, start=20)[0]
 
     def test_rejects_bad_window(self):
         with pytest.raises(PricingError):
@@ -176,10 +176,6 @@ class TestArrayTariffs:
         assert mask.dtype == np.bool_
         assert np.array_equal(
             mask,
-            np.array([scheme.is_peak(start + i) for i in range(SLOTS_PER_WEEK)]),
-        )
-        assert np.array_equal(
-            mask,
             np.array(
                 [
                     scheme.peak_start_slot
@@ -217,7 +213,7 @@ class TestArrayTariffs:
 
     def test_tou_is_peak_rejects_negative_slot(self):
         with pytest.raises(PricingError):
-            TimeOfUsePricing().is_peak(-1)
+            TimeOfUsePricing().peak_mask(1, start=-1)
         with pytest.raises(PricingError):
             TimeOfUsePricing().peak_mask(4, start=-3)
 

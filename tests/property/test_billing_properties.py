@@ -86,5 +86,6 @@ class TestCycleProperties:
         actual = {"a": honest, "b": honest * 0.5}
         result = bill_cycle(actual, actual, tariff)
         expected = bill(honest, tariff) + bill(honest * 0.5, tariff)
-        assert np.isclose(result.revenue, expected, atol=1e-9)
+        revenue = sum(inv.total for inv in result.invoices.values())
+        assert np.isclose(revenue, expected, atol=1e-9)
         assert np.isclose(result.unaccounted_kwh, 0.0, atol=1e-9)

@@ -142,11 +142,11 @@ class TestRampProperties:
     @settings(max_examples=50, deadline=None)
     def test_factors_monotone_bounded_and_floored(self, decay, floor, weeks):
         attack = BoilingFrogRampAttack(weekly_decay=decay, floor=floor)
-        factors = attack.factors(weeks)
+        factors = np.array([attack.factor_for_week(k) for k in range(weeks)])
         assert factors.shape == (weeks,)
         assert np.all(np.diff(factors) <= 1e-12)
         assert np.all(factors >= floor - 1e-12)
         assert np.all(factors <= 1.0)
-        horizon = attack.weeks_to_floor()
+        horizon = max(int(np.ceil(np.log(floor) / np.log(decay))), 0)
         if weeks > horizon:
             assert factors[horizon] == floor

@@ -162,8 +162,8 @@ class TestServiceIntegration:
     def test_quarantined_reading_becomes_gap(self):
         service = self._service()
         service.ingest_cycle({"c1": float("nan"), "c2": 1.0})
-        assert service.store.gap_count("c1") == 1
-        assert service.store.gap_count("c2") == 0
+        assert int(np.isnan(service.store.series("c1")).sum()) == 1
+        assert int(np.isnan(service.store.series("c2")).sum()) == 0
         assert len(service.firewall.store) == 1
         counter = service.metrics.counter(
             QUARANTINE_METRIC, labels=("reason",)
@@ -190,7 +190,8 @@ class TestServiceIntegration:
         # The poison value is in quarantine, not in the series ...
         assert all(
             r.value == poison
-            for r in service.firewall.store.for_consumer("c1")
+            for r in service.firewall.store.records
+            if r.consumer_id == "c1"
         )
         series = service.store.series("c1")
         assert not np.any(series[np.isfinite(series)] > 50.0)

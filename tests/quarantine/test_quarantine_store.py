@@ -26,13 +26,6 @@ class TestCounts:
         assert store.counts_by_reason() == {"non_finite": 1, "negative": 2}
         assert store.counts_by_consumer() == {"a": 2, "b": 1}
 
-    def test_for_consumer(self):
-        store = QuarantineStore()
-        store.add(_reject("a"))
-        store.add(_reject("b"))
-        assert len(store.for_consumer("a")) == 1
-        assert store.for_consumer("missing") == ()
-
     def test_cap_keeps_counts_exact(self):
         store = QuarantineStore(max_records=2)
         for i in range(5):

@@ -71,7 +71,7 @@ def chaos_run(paper_dataset):
     for t in range(N_WEEKS * SLOTS_PER_WEEK):
         week, slot = divmod(t, SLOTS_PER_WEEK)
         if week == SILENCE_WEEK and slot == 0:
-            channel.silence(dead)  # the meter dies outright
+            channel.channel.silence(dead)  # the meter dies outright
         readings = {cid: _reading_at(series, cid, t, victim) for cid in ids}
         if week == ATTACK_WEEK and slot % 48 < 6:
             # Deterministic burst gaps on the victim's link during the
@@ -96,8 +96,8 @@ class TestChaosReplay:
 
     def test_breaker_trips_for_silenced_meter(self, chaos_run):
         service, dead = chaos_run["service"], chaos_run["dead"]
-        assert service.breaker_state(dead) is not BreakerState.CLOSED
-        assert dead in service.quarantined_consumers()
+        assert service._breakers.state(dead) is not BreakerState.CLOSED
+        assert dead in service.reports[-1].quarantined
         # Quarantined from the silencing week's boundary onward.
         for report in service.reports[SILENCE_WEEK:]:
             assert dead in report.quarantined

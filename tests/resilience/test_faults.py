@@ -27,7 +27,6 @@ class TestFaultInjector:
         injector = FaultInjector(stuck_rate=1.0, stuck_mean_cycles=100.0)
         first = injector.apply({"m": 1.5}, rng)
         assert first == {"m": 1.5}
-        assert injector.is_stuck("m")
         later = injector.apply({"m": 9.9}, rng)
         assert later == {"m": 1.5}
 
@@ -36,14 +35,13 @@ class TestFaultInjector:
         injector.apply({"m": 3.0}, rng)
         injector._stuck["m"] = (3.0, 1)
         injector.apply({"m": 7.0}, rng)  # last stuck cycle
-        assert not injector.is_stuck("m")
+        assert "m" not in injector._stuck
 
     def test_clock_skew_lags_one_cycle(self, rng):
         injector = FaultInjector(clock_skew_rate=1.0)
         first = injector.apply({"m": 1.0}, rng)
         # No previous value yet: the first skewed cycle passes through.
         assert first == {"m": 1.0}
-        assert injector.is_skewed("m")
         second = injector.apply({"m": 2.0}, rng)
         assert second == {"m": 1.0}
         third = injector.apply({"m": 3.0}, rng)
@@ -60,14 +58,6 @@ class TestFaultInjector:
         out = injector.apply({f"m{i}": 1.0 for i in range(50)}, rng)
         for value in out.values():
             assert not (np.isfinite(value) and value >= 0)
-
-    def test_reset_clears_state(self, rng):
-        injector = FaultInjector(stuck_rate=1.0, clock_skew_rate=1.0)
-        injector.apply({"m": 1.0}, rng)
-        injector.reset()
-        assert not injector.is_stuck("m")
-        assert not injector.is_skewed("m")
-        assert injector._last == {}
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ConfigurationError):
@@ -90,7 +80,7 @@ class TestFaultyChannel:
         channel = FaultyChannel(
             channel=LossyChannel(drop_rate=0.0, outage_rate=0.0)
         )
-        channel.silence("a")
+        channel.channel.silence("a")
         for _ in range(10):
             out = channel.transmit({"a": 1.0, "b": 2.0}, rng)
             assert out == {"b": 2.0}
@@ -103,17 +93,6 @@ class TestFaultyChannel:
         )
         out = channel.transmit({"m": 1.0}, rng)
         assert not (np.isfinite(out["m"]) and out["m"] >= 0)
-
-    def test_reset(self, rng):
-        channel = FaultyChannel(
-            channel=LossyChannel(drop_rate=0.0, outage_rate=0.0),
-            faults=FaultInjector(stuck_rate=1.0),
-        )
-        channel.silence("a")
-        channel.transmit({"b": 1.0}, rng)
-        channel.reset()
-        assert not channel.in_outage("a")
-        assert not channel.faults.is_stuck("b")
 
 
 class TestRetryPolicy:

@@ -29,6 +29,15 @@ from repro.transport import (
 T = WEEKS * SLOTS_PER_WEEK
 
 
+def _unreachable(fleet):
+    """Shards the health plane reports severed, in name order."""
+    return tuple(
+        shard.name
+        for shard in fleet.health_report().shards
+        if shard.state == "unreachable"
+    )
+
+
 def _fleet(base_dir, transport=None, **kw):
     if transport is not None:
         kw["transport"] = transport
@@ -69,7 +78,7 @@ class TestPartitionLifecycle:
             # Mid-partition: the severed shard is degraded, not dead —
             # its cycles buffer while the healthy shard ingests at the
             # frontier.
-            assert fleet.unreachable_shards() == ("shard-0000",)
+            assert _unreachable(fleet) == ("shard-0000",)
             worker = fleet._workers["shard-0000"]
             assert worker.monitor is not None and not worker.hung
             assert len(worker.pending) > 0
@@ -93,7 +102,7 @@ class TestPartitionLifecycle:
             transport.heal_all()
             drained = fleet.drain_backlog()
             assert drained > 0  # the partition buffer replayed
-            assert fleet.unreachable_shards() == ()
+            assert _unreachable(fleet) == ()
             for t in range(60, T):
                 fleet.ingest_cycle(readings(t))
             assert fleet.low_watermark == T - 1
@@ -109,7 +118,7 @@ class TestPartitionLifecycle:
             # The heal fired off this coordinator's own probes: no
             # manual heal_all() was ever needed.
             assert schedule.exhausted
-            assert fleet.unreachable_shards() == ()
+            assert _unreachable(fleet) == ()
             fleet.drain_backlog()
             assert fleet.low_watermark == T - 1
             assert fleet.merged_signature() == baseline
@@ -139,7 +148,7 @@ class TestPartitionLifecycle:
         with _fleet(tmp_path, transport) as fleet:
             for t in range(12):
                 fleet.ingest_cycle(readings(t))
-            assert fleet.unreachable_shards() == ("shard-0000",)
+            assert _unreachable(fleet) == ("shard-0000",)
             with pytest.raises(SupervisorError, match="partition"):
                 fleet.add_shard()
             # Heal, drain, and the same handoff goes through.

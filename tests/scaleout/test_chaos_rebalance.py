@@ -2,15 +2,15 @@
 
 The load-bearing claims of the elastic fleet:
 
-* **placement neutrality** — an elastic fleet that grows and shrinks
-  mid-run produces merged weekly verdicts bit-identical to one
-  unsharded service over the same roster;
+* **placement neutrality** — an elastic fleet that grows mid-run
+  produces merged weekly verdicts bit-identical to one unsharded
+  service over the same roster;
 * **crash neutrality** — a coordinator crash at *any* handoff phase,
   plus worker kills and hangs around it, recovers (roll-back before the
-  manifest commit, roll-forward after) to verdicts, revision logs, and
-  reading stores bit-identical to an undisturbed fleet running the same
-  topology schedule;
-* **minimal movement** — a live shard add/remove migrates at most
+  manifest commit, roll-forward after) to verdicts and reading stores
+  bit-identical to an undisturbed fleet running the same topology
+  schedule;
+* **minimal movement** — a live shard add migrates at most
   ~``n/shards`` consumers.
 """
 
@@ -31,7 +31,6 @@ from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 T = WEEKS * SLOTS_PER_WEEK
 GROW_AT = SLOTS_PER_WEEK + 30
-SHRINK_AT = 2 * SLOTS_PER_WEEK + 10
 
 
 class SimulatedCrash(Exception):
@@ -63,49 +62,28 @@ def _series_equal(a, b):
     )
 
 
-def _revision_tuples(log):
-    return [
-        (
-            r.week_index,
-            r.consumer_id,
-            r.version,
-            r.kind.value,
-            r.flagged_before,
-            r.flagged_after,
-        )
-        for r in log.revisions
-    ]
-
-
-def _run_baseline(base_dir, grow=True, shrink=True):
+def _run_baseline(base_dir):
     """An undisturbed fleet following the canonical topology schedule."""
     fleet = _fleet(base_dir)
     try:
         for t in range(T):
-            if grow and t == GROW_AT:
+            if t == GROW_AT:
                 fleet.add_shard()
-            if shrink and t == SHRINK_AT:
-                fleet.remove_shard(fleet.shards[0])
             fleet.ingest_cycle(readings(t))
-        return (
-            fleet.merged_signature(),
-            _revision_tuples(fleet.merged_revisions()),
-            fleet.reading_series(),
-        )
+        return fleet.merged_signature(), fleet.reading_series()
     finally:
         fleet.close()
 
 
 class TestPlacementNeutrality:
     def test_elastic_fleet_matches_unsharded_service(self, tmp_path):
-        """Grow + shrink mid-run; merged verdicts == one big service."""
-        sig, revs, series = _run_baseline(tmp_path / "fleet")
+        """Grow mid-run; merged verdicts == one big service."""
+        sig, series = _run_baseline(tmp_path / "fleet")
 
         solo = service_factory(CONSUMERS)
         for t in range(T):
             solo.ingest_cycle(readings(t))
         assert sig == merged_signature({"solo": solo.reports})
-        assert revs == _revision_tuples(solo.revisions)
         assert _series_equal(series, dict(solo.store._series))
 
     def test_handoff_moves_at_most_fair_share(self, tmp_path):
@@ -141,15 +119,12 @@ class TestKillRebalanceHeal:
                     fleet.hang(fleet.shards[1])
                 if t == GROW_AT:
                     fleet.add_shard()
-                if t == SHRINK_AT:
-                    fleet.remove_shard(fleet.shards[0])
-                if t == SHRINK_AT + 25:
+                if t == GROW_AT + 25:
                     fleet.kill(fleet.shards[-1])  # kill a handoff dest
                 fleet.ingest_cycle(readings(t))
             assert fleet.restarts_total >= 3
             assert fleet.merged_signature() == baseline[0]
-            assert _revision_tuples(fleet.merged_revisions()) == baseline[1]
-            assert _series_equal(fleet.reading_series(), baseline[2])
+            assert _series_equal(fleet.reading_series(), baseline[1])
         finally:
             fleet.close()
 
@@ -164,12 +139,12 @@ class TestCrashMidHandoff:
         A crash before the manifest commit rolls the handoff back (the
         reopened fleet still has 2 shards and the add is redone); a
         crash at or after install rolls it forward (the reopened fleet
-        already has 3).  Either way the final merged verdicts, revision
-        log, and reading stores are bit-identical to an undisturbed
+        already has 3).  Either way the final merged verdicts and
+        reading stores are bit-identical to an undisturbed
         fleet that performed the same grow — with a worker kill and a
         hang thrown in before the handoff for good measure.
         """
-        baseline = _run_baseline(tmp_path / "baseline", shrink=False)
+        baseline = _run_baseline(tmp_path / "baseline")
 
         def crash(phase):
             if phase == crash_phase:
@@ -201,14 +176,13 @@ class TestCrashMidHandoff:
                 fleet.ingest_cycle(readings(t))
                 t += 1
             assert fleet.merged_signature() == baseline[0]
-            assert _revision_tuples(fleet.merged_revisions()) == baseline[1]
-            assert _series_equal(fleet.reading_series(), baseline[2])
+            assert _series_equal(fleet.reading_series(), baseline[1])
         finally:
             fleet.close()
 
     def test_crash_then_cold_restart_still_bit_identical(self, tmp_path):
         """Crash mid-install, recover, then cold-restart at the end."""
-        baseline = _run_baseline(tmp_path / "baseline", shrink=False)
+        baseline = _run_baseline(tmp_path / "baseline")
 
         def crash(phase):
             if phase == "install":
@@ -233,6 +207,6 @@ class TestCrashMidHandoff:
             for t in range(fleet.cycle, T):
                 fleet.ingest_cycle(readings(t))
             assert fleet.merged_signature() == baseline[0]
-            assert _series_equal(fleet.reading_series(), baseline[2])
+            assert _series_equal(fleet.reading_series(), baseline[1])
         finally:
             fleet.close()

@@ -111,7 +111,6 @@ class TestDispatchAndWatermarks:
             assert fleet.frontier == 5
             assert fleet.low_watermark == 2
             assert fleet.shard_lag(victim) == 3
-            assert fleet.lagging_shards(0) == (victim,)
             other = [s for s in fleet.shards if s != victim]
             assert all(fleet.shard_lag(s) == 0 for s in other)
 
@@ -174,6 +173,36 @@ class TestHealing:
 
             with pytest.raises(StaleWriterError):
                 stale.ingest_cycle(readings(4))
+
+    def test_disk_full_shard_resumes_on_redelivery(self, tmp_path):
+        """A one-shot ENOSPC on one shard's WAL degrades that shard
+        only until the next cycle re-offers its pending head: the
+        re-delivery probes the volume, finds space and ingests."""
+        from repro.storage import FaultSchedule, FaultyIO, install_io
+
+        cycles = WEEKS * SLOTS_PER_WEEK
+        with _fleet(tmp_path / "clean") as fleet:
+            for t in range(cycles):
+                fleet.ingest_cycle(readings(t))
+            baseline = fleet.merged_signature()
+        schedule = FaultSchedule.parse("wal.*:write@1200=enospc")
+        previous = install_io(FaultyIO(schedule))
+        try:
+            with _fleet(tmp_path / "full") as fleet:
+                for t in range(cycles):
+                    fleet.ingest_cycle(readings(t))
+                assert schedule.exhausted
+                for worker in fleet.workers():
+                    assert worker.last_cycle == cycles - 1
+                    assert not worker.pending
+                    assert not worker.monitor.read_only
+                totals = fleet.merged_metrics().totals()
+                assert totals[
+                    ("fdeta_storage_degraded_entries_total", ())
+                ] == 1.0
+                assert fleet.merged_signature() == baseline
+        finally:
+            install_io(previous)
 
 
 class TestColdStart:

@@ -64,7 +64,9 @@ class TestHealthVerdicts:
             assert shard.state == "dead"
             assert not shard.live and not shard.ready
             assert "no running monitor" in shard.reasons
-            assert report.unready() == ("shard-0000",)
+            assert [s.name for s in report.shards if not s.ready] == [
+                "shard-0000"
+            ]
             assert not report.fleet_live and not report.fleet_ready
             assert report.states == {
                 "running": 1,

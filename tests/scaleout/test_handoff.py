@@ -80,9 +80,7 @@ class TestHandoffRecord:
         record = HandoffRecord(
             moves=(("c1", "shard-0000", "shard-0002"),),
             added=("shard-0002",),
-            retiring=("shard-0001",),
             cycle=336,
-            retiring_dirs=(("shard-0001", "/wal", "/ckpt"),),
         )
         assert HandoffRecord.from_json(record.to_json()) == record
 

@@ -1,6 +1,5 @@
 """Merged verdict/metrics plane: >2 shards, collisions, restarts."""
 
-import pytest
 from _fixtures import (
     CONSUMERS,
     detector_factory,
@@ -8,12 +7,10 @@ from _fixtures import (
     service_factory,
 )
 
-from repro.eventtime.revision import RevisionLog, VerdictRevision
 from repro.observability.metrics import MetricsRegistry
 from repro.scaleout import (
     ElasticFleet,
     merge_metrics,
-    merge_revisions,
     merge_weekly_reports,
     merged_signature,
     report_signature,
@@ -187,43 +184,3 @@ class TestReportMerge:
         whole = merged_signature({"one": [report]})
         assert report_signature(report) == whole[0]
 
-
-class TestRevisionMerge:
-    def test_merge_orders_and_tracks_versions(self):
-        from repro.eventtime.revision import RevisionKind
-
-        a, b = RevisionLog(), RevisionLog()
-        one = a.record(
-            week_index=1,
-            consumer_id="c2",
-            kind=RevisionKind.UPGRADE,
-            reason="late_data",
-            cycle=400,
-            flagged_before=False,
-            flagged_after=True,
-        )
-        two = b.record(
-            week_index=0,
-            consumer_id="c1",
-            kind=RevisionKind.DOWNGRADE,
-            reason="late_data",
-            cycle=350,
-            flagged_before=True,
-            flagged_after=False,
-        )
-        merged = merge_revisions((a, b))
-        assert [r.consumer_id for r in merged.revisions] == ["c1", "c2"]
-        assert isinstance(one, VerdictRevision)
-        assert isinstance(two, VerdictRevision)
-        # Version bookkeeping survives the merge: the next revision of
-        # the same (week, consumer) continues the sequence.
-        after = merged.record(
-            week_index=1,
-            consumer_id="c2",
-            kind=RevisionKind.DOWNGRADE,
-            reason="late_data",
-            cycle=500,
-            flagged_before=True,
-            flagged_after=False,
-        )
-        assert after.version == one.version + 1

@@ -1,7 +1,7 @@
 """Liveness gate: every public ``src/`` definition is reached from a run path.
 
-A static walk (stdlib :mod:`ast`, no imports executed) starts from the
-entry points — the CLI, ``perfbench/``, ``benchmarks/`` and
+A static walk (stdlib :mod:`ast`; no project code is imported) starts
+from the entry points — the CLI, ``perfbench/``, ``benchmarks/`` and
 ``examples/`` — and computes the fixed point of the names each reached
 body uses (``Name`` ids, ``Attribute`` attrs and the original names of
 import aliases).  A module-level definition whose name is used is
@@ -10,23 +10,38 @@ reached, and its body's names join the set.  Re-exports in a package
 definition kept alive only by its package's public surface is still
 dead.
 
-The walk is name-level: two definitions sharing a name are reached
-together.  That errs towards "reached", so the gate never flags live
-code; it only misses dead code hidden behind a common name.
+Methods are gated the same way.  A reached class contributes only its
+bases, decorators, class-level statements and dunders; each other
+method's body joins once its name is used, or held in an
+identifier-shaped string constant (``getattr(obj, "name")``, or
+perfbench's ``patch(Owner, "name", ...)``).  A method that overrides a
+method of a stdlib base class (``logging.Handler.emit``) joins with its
+class, since the stdlib calls it.  Strings count for methods only: the
+module-level rule is unchanged.
 
-Every public module-level function or class in ``src/repro`` that the
-walk does not reach must be on :data:`ALLOWED` with the part of the
-paper it reproduces (a section, proposition, figure or equation) or
-"fault-injection harness", and the id of the test that runs it.
-Allow-listed definitions are roots of the walk, so their helpers need
-no entry of their own.  An entry that the entry points reach anyway, or
-whose definition or test no longer exists, is stale and fails the gate
-too.
+The walk is name-level: two definitions sharing a name are reached
+together, and an override is reached when the base method's name is.
+That errs towards "reached", so the gate never flags live code; it only
+misses dead code hidden behind a common name.
+
+Every public module-level function or class, and every public method of
+one, in ``src/repro`` that the walk does not reach must be on
+:data:`ALLOWED` (keyed ``module.name`` or ``module.Class.method``) with
+the part of the paper it reproduces (a section, proposition, figure or
+equation) or "fault-injection harness", and the id of the test that
+runs it.  Allow-listed definitions are roots of the walk, so their
+helpers need no entry of their own; a class entry roots the class, not
+its methods.  An entry that the entry points reach anyway, or whose
+definition or test no longer exists, is stale and fails the gate too.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
+import re
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -147,26 +162,146 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "Section VII-C: whiteness of the ARIMA baseline's residuals",
         "tests/timeseries/test_diagnostics.py::TestLjungBox",
     ),
+    "repro.grid.investigation.deepest_failure_investigation": (
+        "Section V-C: Case 1, the deepest failing balance meter "
+        "localises the theft",
+        "tests/grid/test_investigation.py::TestCase1DeepestFailure",
+    ),
+    "repro.grid.balance.BalanceAuditor.inconsistency_alarms": (
+        "Section V-B: the two W-propagation alarm rules that expose a "
+        "faulty or forged balance meter",
+        "tests/grid/test_balance.py::TestAlarmRules",
+    ),
+    "repro.grid.balance.BalanceAuditor.compromise_meter": (
+        "Section VI-A: Mallory forges a balance meter so its check passes",
+        "tests/grid/test_balance.py::TestCompromisedMeters"
+        "::test_compromised_meter_reports_pass",
+    ),
+    "repro.grid.balance.BalanceAuditor.compromise_path": (
+        "Section VI-A: Mallory compromises every balance meter on her "
+        "path below the trusted root",
+        "tests/grid/test_balance.py::TestCompromisedMeters"
+        "::test_compromise_path_including_root",
+    ),
+    "repro.grid.losses.ImpedanceLossModel.compute_losses": (
+        "Section V-A: the loss leaves of eq (4) from line impedances",
+        "tests/grid/test_losses.py::TestImpedanceLossModel"
+        "::test_losses_assigned_to_loss_leaves",
+    ),
+    "repro.metering.errors_model.MeasurementErrorModel"
+    ".within_band_probability": (
+        "Section VII-A: the EEI accuracy bands the meter error model is "
+        "calibrated to",
+        "tests/metering/test_errors_model.py::TestCalibration",
+    ),
+    "repro.pricing.market.RealTimeMarket.simulate_prices": (
+        "Section VII-A: clearing prices over a horizon become the RTP "
+        "tariff of 4B",
+        "tests/pricing/test_market.py::TestSimulation",
+    ),
+    "repro.stats.truncated_normal.TruncatedNormal.variance": (
+        "Section VIII-B1: the analytical variance of the Integrated "
+        "ARIMA attack's truncated normal",
+        "tests/stats/test_truncated_normal.py::TestTruncatedNormal"
+        "::test_sample_variance_matches_analytical",
+    ),
+    "repro.timeseries.seasonal.SeasonalProfile.predict": (
+        "Section VII-D: weekly patterns repeat, so the profile mean is "
+        "the seasonal-naive forecast",
+        "tests/timeseries/test_seasonal.py::TestPredictAndZScores"
+        "::test_predict_wraps_around",
+    ),
+    "repro.timeseries.seasonal.SeasonalProfile.zscores": (
+        "Section VII-D: how far a week strays from the repeating weekly "
+        "pattern, slot by slot",
+        "tests/timeseries/test_seasonal.py::TestPredictAndZScores"
+        "::test_zscores_flag_spike",
+    ),
+    "repro.metering.channel.LossyChannel.silence": (
+        "fault-injection harness: a meter that dies outright instead of "
+        "waiting for a stochastic outage",
+        "tests/resilience/test_chaos.py::TestChaosReplay"
+        "::test_breaker_trips_for_silenced_meter",
+    ),
+    "repro.metering.scramble.ScramblingChannel.silence": (
+        "fault-injection harness: a collector outage that batches one "
+        "consumer's readings deterministically",
+        "tests/metering/test_scramble.py::TestOutageBatching"
+        "::test_silenced_consumer_delivers_backlog_as_one_burst",
+    ),
+    "repro.storage.faults.FaultyIO.simulate_power_loss": (
+        "fault-injection harness: power loss after a lying fsync drops "
+        "the unsynced tail",
+        "tests/storage/test_fault_injection.py::TestLyingFsync"
+        "::test_power_loss_truncates_to_last_true_sync",
+    ),
 }
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+Method = tuple[ast.ClassDef, ast.FunctionDef | ast.AsyncFunctionDef]
+
+
+def _is_method(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _shell(cls: ast.ClassDef) -> list[ast.AST]:
+    """The parts of ``cls`` that run when the class is reached: bases,
+    keywords, decorators, class-level statements and dunders."""
+    return [
+        *cls.bases,
+        *cls.keywords,
+        *cls.decorator_list,
+        *(
+            node
+            for node in cls.body
+            if not _is_method(node) or _is_dunder(node.name)
+        ),
+    ]
 
 
 class _Module:
     """One parsed source file: its definitions, roots and import aliases."""
 
-    def __init__(self, path: Path, name: str) -> None:
+    def __init__(
+        self, name: str, source: str, path: Path | None = None
+    ) -> None:
         self.path = path
         self.name = name
-        self.tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        self.tree = ast.parse(source, str(path or name))
         # local name -> imported name, over every import in the file.
         self.aliases: dict[str, str] = {}
+        # local name -> dotted origin, for resolving base classes.
+        self.origins: dict[str, str] = {}
         for node in ast.walk(self.tree):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = alias.name
+                    local = alias.asname or alias.name
+                    self.aliases[local] = alias.name
+                    if node.module and not node.level:
+                        self.origins[local] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.partition(".")[0]
+                    self.origins[alias.asname or head] = (
+                        alias.name if alias.asname else head
+                    )
         # module-level name -> defining statements; statements run on import.
         self.definitions: dict[str, list[ast.AST]] = {}
+        # non-dunder methods of module-level classes, gated by name.
+        self.methods: list[Method] = []
         self.roots: list[ast.AST] = []
         self._collect(self.tree.body)
+
+    @property
+    def where(self) -> str:
+        return str(self.path.relative_to(ROOT)) if self.path else self.name
 
     def _collect(self, body: list[ast.stmt]) -> None:
         for node in body:
@@ -176,6 +311,12 @@ class _Module:
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 self.definitions.setdefault(node.name, []).append(node)
+                if isinstance(node, ast.ClassDef):
+                    self.methods.extend(
+                        (node, member)
+                        for member in node.body
+                        if _is_method(member) and not _is_dunder(member.name)
+                    )
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [
                     node.target
@@ -206,20 +347,49 @@ class _Module:
             ):
                 self.roots.append(node)
 
-    def uses(self, node: ast.AST) -> set[str]:
-        """Names ``node`` uses, with import aliases resolved."""
-        found: set[str] = set()
+    def uses(self, node: ast.AST) -> tuple[set[str], set[str]]:
+        """Names ``node`` uses (import aliases resolved), and the
+        identifier-shaped strings it holds (``getattr`` targets)."""
+        names: set[str] = set()
+        strings: set[str] = set()
         for leaf in ast.walk(node):
             if isinstance(leaf, ast.Name):
-                found.add(self.aliases.get(leaf.id, leaf.id))
+                names.add(self.aliases.get(leaf.id, leaf.id))
             elif isinstance(leaf, ast.Attribute):
-                found.add(leaf.attr)
+                names.add(leaf.attr)
             elif isinstance(leaf, ast.alias):
-                found.add(leaf.name.rpartition(".")[2])
-        return found
+                names.add(leaf.name.rpartition(".")[2])
+            elif isinstance(leaf, ast.Constant) and isinstance(
+                leaf.value, str
+            ) and _IDENTIFIER.match(leaf.value):
+                strings.add(leaf.value)
+        return names, strings
+
+    def stdlib_base(self, base: ast.expr) -> object | None:
+        """The stdlib class ``base`` names, or None (local or third-party)."""
+        parts: list[str] = []
+        while isinstance(base, ast.Attribute):
+            parts.insert(0, base.attr)
+            base = base.value
+        if not isinstance(base, ast.Name):
+            return None
+        origin = self.origins.get(base.id)
+        if origin is None and hasattr(builtins, base.id):
+            origin = f"builtins.{base.id}"
+        if origin is None:
+            return None
+        dotted = ".".join([origin, *parts])
+        if dotted.partition(".")[0] not in sys.stdlib_module_names:
+            return None
+        module, _, attr = dotted.rpartition(".")
+        try:
+            return getattr(importlib.import_module(module), attr)
+        except (ImportError, AttributeError):
+            return None
 
     def public(self) -> list[tuple[str, ast.AST]]:
-        return [
+        """``name`` or ``Class.method`` -> node, for every public def."""
+        found = [
             (name, node)
             for name, nodes in self.definitions.items()
             for node in nodes
@@ -228,6 +398,126 @@ class _Module:
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             )
         ]
+        found.extend(
+            (f"{cls.name}.{method.name}", method)
+            for cls, method in self.methods
+            if not cls.name.startswith("_") and not method.name.startswith("_")
+        )
+        return found
+
+
+class _Walk:
+    """Fixed point of what the entry points reach in a library.
+
+    A module-level definition joins when its name is used.  A class
+    joins with its :func:`_shell` only; each method joins once its class
+    has joined and its name is used or held as an identifier string, or
+    when it overrides a method of a stdlib base (``logging.Handler.emit``
+    runs although no source names it).  ``roots`` are ``module.name`` or
+    ``module.Class.method`` definitions that join up front.
+    """
+
+    def __init__(
+        self,
+        library: list[_Module],
+        entry: list[_Module],
+        roots: frozenset[str] = frozenset(),
+    ) -> None:
+        self.library = library
+        self.names: set[str] = set()
+        self.strings: set[str] = set()
+        self._joined: set[int] = set()
+        self._pending: list[tuple[_Module, ast.AST]] = []
+        for module in entry:
+            self._pending.append((module, module.tree))
+        for module in library:
+            self._pending.extend((module, root) for root in module.roots)
+        self._classes: dict[str, list[tuple[_Module, ast.ClassDef]]] = {}
+        for module in library:
+            for name, nodes in module.definitions.items():
+                for node in nodes:
+                    if isinstance(node, ast.ClassDef):
+                        self._classes.setdefault(name, []).append(
+                            (module, node)
+                        )
+                    if f"{module.name}.{name}" in roots:
+                        self._join(module, node)
+            for cls, method in module.methods:
+                if f"{module.name}.{cls.name}.{method.name}" in roots:
+                    self._join(module, method)
+        self._run()
+
+    def _join(self, module: _Module, node: ast.AST) -> bool:
+        if id(node) in self._joined:
+            return False
+        self._joined.add(id(node))
+        if isinstance(node, ast.ClassDef):
+            self._pending.extend((module, part) for part in _shell(node))
+        else:
+            self._pending.append((module, node))
+        return True
+
+    def _stdlib_bases(
+        self, module: _Module, cls: ast.ClassDef, seen: set[int]
+    ) -> list[object]:
+        """Stdlib classes ``cls`` derives from, through local bases."""
+        if id(cls) in seen:
+            return []
+        seen.add(id(cls))
+        found: list[object] = []
+        for base in cls.bases:
+            stdlib = module.stdlib_base(base)
+            if stdlib is not None:
+                found.append(stdlib)
+            elif isinstance(base, ast.Name):
+                name = module.aliases.get(base.id, base.id)
+                for owner, local in self._classes.get(name, ()):
+                    found.extend(self._stdlib_bases(owner, local, seen))
+        return found
+
+    def _overrides_stdlib(
+        self, module: _Module, cls: ast.ClassDef, name: str
+    ) -> bool:
+        return any(
+            hasattr(base, name)
+            for base in self._stdlib_bases(module, cls, set())
+        )
+
+    def _run(self) -> None:
+        while True:
+            while self._pending:
+                module, node = self._pending.pop()
+                names, strings = module.uses(node)
+                self.names |= names
+                self.strings |= strings
+            grew = False
+            for module in self.library:
+                for name, nodes in module.definitions.items():
+                    if name in self.names:
+                        for node in nodes:
+                            grew |= self._join(module, node)
+                for cls, method in module.methods:
+                    if (
+                        id(cls) in self._joined
+                        and id(method) not in self._joined
+                        and (
+                            method.name in self.names
+                            or method.name in self.strings
+                            or self._overrides_stdlib(module, cls, method.name)
+                        )
+                    ):
+                        grew |= self._join(module, method)
+            if not grew:
+                return
+
+    def unreached(self) -> dict[str, str]:
+        """``module.name`` -> ``path:line`` of every public def not joined."""
+        return {
+            f"{module.name}.{name}": f"{module.where}:{node.lineno}"
+            for module in self.library
+            for name, node in module.public()
+            if id(node) not in self._joined
+        }
 
 
 def _library() -> list[_Module]:
@@ -236,7 +526,9 @@ def _library() -> list[_Module]:
         parts = path.relative_to(SRC).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        modules.append(_Module(path, ".".join(parts)))
+        modules.append(
+            _Module(".".join(parts), path.read_text(encoding="utf-8"), path)
+        )
     return modules
 
 
@@ -248,55 +540,34 @@ def _entry_files() -> list[Path]:
 
 
 @lru_cache(maxsize=1)
-def _index() -> tuple[list[_Module], frozenset[str]]:
-    """The library's modules and the names the entry-point files use."""
-    entry = {path.resolve() for path in _entry_files()}
-    used: set[str] = set()
-    for path in entry:
-        module = _Module(path, path.stem)
-        used |= module.uses(module.tree)
-    library = [m for m in _library() if m.path.resolve() not in entry]
-    return library, frozenset(used)
+def _index() -> tuple[list[_Module], list[_Module]]:
+    """The library's modules and the entry-point modules."""
+    entry_paths = {path.resolve() for path in _entry_files()}
+    entry = [
+        _Module(path.stem, path.read_text(encoding="utf-8"), path)
+        for path in sorted(entry_paths)
+    ]
+    library = [m for m in _library() if m.path.resolve() not in entry_paths]
+    return library, entry
 
 
-def reached_names(roots: frozenset[str] = frozenset()) -> set[str]:
-    """Fixed point of the names used from the entry points.
-
-    ``roots`` are extra ``module.name`` definitions whose bodies count
-    as reached (the allow-list), so their helpers are reached too.
-    """
-    library, used = _index()
-    defined: dict[str, list[tuple[_Module, ast.AST]]] = {}
-    pending: list[tuple[_Module, ast.AST]] = []
-    for module in library:
-        pending.extend((module, root) for root in module.roots)
-        for name, nodes in module.definitions.items():
-            defined.setdefault(name, []).extend((module, n) for n in nodes)
-            if f"{module.name}.{name}" in roots:
-                pending.extend((module, n) for n in nodes)
-    reached: set[str] = set()
-    frontier = set(used)
-    while frontier:
-        reached |= frontier
-        for name in frontier:
-            pending.extend(defined.get(name, ()))
-        frontier = set()
-        for module, node in pending:
-            frontier |= module.uses(node) - reached
-        pending = []
-    return reached
-
-
-def unreached(roots: frozenset[str] = frozenset()) -> dict[str, str]:
-    """``module.name`` -> ``path:line`` of every unreached public def."""
-    library, _ = _index()
-    used = reached_names(roots)
-    return {
-        f"{module.name}.{name}": f"{module.path.relative_to(ROOT)}:{node.lineno}"
-        for module in library
-        for name, node in module.public()
-        if name not in used
+def gate_failures(
+    library: list[_Module], entry: list[_Module], allowed: frozenset[str]
+) -> tuple[dict[str, str], list[str]]:
+    """Unreached public definitions that ``allowed`` does not cover, and
+    the stale entries of ``allowed``."""
+    flagged = {
+        key: where
+        for key, where in _Walk(library, entry, allowed).unreached().items()
+        if key not in allowed
     }
+    dead = _Walk(library, entry).unreached()
+    return flagged, sorted(key for key in allowed if key not in dead)
+
+
+@lru_cache(maxsize=1)
+def _repo_gate() -> tuple[dict[str, str], list[str]]:
+    return gate_failures(*_index(), frozenset(ALLOWED))
 
 
 def _test_exists(test_id: str) -> bool:
@@ -321,19 +592,14 @@ def _test_exists(test_id: str) -> bool:
 
 
 def test_every_public_definition_is_reached_or_allowed() -> None:
-    dead = {
-        key: where
-        for key, where in unreached(frozenset(ALLOWED)).items()
-        if key not in ALLOWED
-    }
+    dead, _ = _repo_gate()
     assert not dead, "unreached public definitions:\n" + "\n".join(
         f"  {key} ({where})" for key, where in sorted(dead.items())
     )
 
 
 def test_allow_list_has_no_stale_entries() -> None:
-    dead = unreached()
-    stale = sorted(key for key in ALLOWED if key not in dead)
+    _, stale = _repo_gate()
     assert not stale, (
         "allow-listed definitions that are reached or no longer exist: "
         f"{stale}"
@@ -347,3 +613,86 @@ def test_allow_list_entry_names_a_reason_and_a_test(key: str) -> None:
         ("Section", "Proposition", "Figure", "eq (", "fault-injection harness")
     ), reason
     assert _test_exists(test_id), f"{key}: no test {test_id}"
+
+
+# -- mutation checks: the walker on synthetic source ----------------------
+
+_LIB = """
+import logging
+
+
+class Meter:
+    rate = 2.0
+
+    def __init__(self):
+        self.value = 0.0
+
+    def read(self):
+        return self.value * self.rate
+
+
+class Bridge(logging.Handler):
+    def emit(self, record):
+        pass
+"""
+
+_EXTRA = """
+
+def helper():
+    return 1
+
+
+class Meter2(Meter):
+    def extra(self):
+        return helper()
+"""
+
+_MAIN = """
+from lib import Bridge, Meter
+
+Meter().read()
+Bridge()
+"""
+
+
+def _gate(
+    library: str, entry: str, allowed: tuple[str, ...] = ()
+) -> tuple[dict[str, str], list[str]]:
+    return gate_failures(
+        [_Module("lib", library)], [_Module("main", entry)], frozenset(allowed)
+    )
+
+
+def test_mutation_clean_source_passes() -> None:
+    # ``emit`` is never named, yet logging calls it: a stdlib override.
+    assert _gate(_LIB, _MAIN) == ({}, [])
+
+
+def test_mutation_uncalled_public_method_fails() -> None:
+    library = _LIB.replace(
+        "        return self.value * self.rate\n",
+        "        return self.value * self.rate\n\n"
+        "    def reset(self):\n        self.value = 0.0\n",
+    )
+    flagged, _ = _gate(library, _MAIN)
+    assert set(flagged) == {"lib.Meter.reset"}
+
+
+def test_mutation_a_dead_method_keeps_its_helpers_dead() -> None:
+    flagged, _ = _gate(_LIB + _EXTRA, _MAIN + "Meter2()\n")
+    assert set(flagged) == {"lib.Meter2.extra", "lib.helper"}
+
+
+def test_mutation_stale_method_entry_fails() -> None:
+    # Reached anyway, or no longer defined: either way the entry is stale.
+    _, stale = _gate(_LIB, _MAIN, ("lib.Meter.read", "lib.Meter.gone"))
+    assert stale == ["lib.Meter.gone", "lib.Meter.read"]
+    # A live entry roots the method and its helpers.
+    flagged, stale = _gate(_LIB + _EXTRA, _MAIN + "Meter2()\n",
+                           ("lib.Meter2.extra",))
+    assert (flagged, stale) == ({}, [])
+
+
+def test_mutation_method_reached_by_identifier_string_passes() -> None:
+    entry = _MAIN + 'getattr(Meter2(), "extra")()\n'
+    assert _gate(_LIB + _EXTRA, entry) == ({}, [])

@@ -12,7 +12,6 @@ class TestLjungBox:
     def test_white_noise_not_rejected(self, rng):
         result = ljung_box(rng.normal(size=2000), lags=20)
         assert result.p_value > 0.01
-        assert result.residuals_look_white or result.p_value > 0.01
 
     def test_autocorrelated_series_rejected(self, rng):
         noise = rng.normal(size=2000)
@@ -21,7 +20,6 @@ class TestLjungBox:
             series[t] = 0.7 * series[t - 1] + noise[t]
         result = ljung_box(series, lags=10)
         assert result.p_value < 0.001
-        assert not result.residuals_look_white
 
     def test_good_arima_fit_leaves_whiter_residuals(self, rng):
         noise = rng.normal(size=3000)

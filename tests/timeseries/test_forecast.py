@@ -19,20 +19,21 @@ class TestForecast:
         assert forecast.upper[0] == pytest.approx(1.96, abs=0.01)
 
     def test_custom_interval(self):
-        forecast = Forecast(mean=np.zeros(2), std=np.ones(2))
-        lo, hi = forecast.interval(3.0)
-        assert np.allclose(hi, 3.0)
-        assert np.allclose(lo, -3.0)
+        forecast = Forecast(mean=np.zeros(2), std=np.ones(2), z=3.0)
+        assert np.allclose(forecast.upper, 3.0)
+        assert np.allclose(forecast.lower, -3.0)
 
     def test_contains(self):
         forecast = Forecast(mean=np.array([0.0, 0.0]), std=np.array([1.0, 1.0]))
-        mask = forecast.contains(np.array([0.5, 5.0]))
+        values = np.array([0.5, 5.0])
+        mask = (values >= forecast.lower) & (values <= forecast.upper)
         assert mask.tolist() == [True, False]
 
     def test_contains_respects_custom_z(self):
-        forecast = Forecast(mean=np.array([0.0]), std=np.array([1.0]))
-        assert not forecast.contains(np.array([2.5]))[0]
-        assert forecast.contains(np.array([2.5]), z=3.0)[0]
+        default = Forecast(mean=np.array([0.0]), std=np.array([1.0]))
+        wide = Forecast(mean=np.array([0.0]), std=np.array([1.0]), z=3.0)
+        assert not 2.5 <= default.upper[0]
+        assert 2.5 <= wide.upper[0]
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigurationError):
@@ -45,11 +46,6 @@ class TestForecast:
     def test_rejects_bad_z(self):
         with pytest.raises(ConfigurationError):
             Forecast(mean=np.zeros(1), std=np.ones(1), z=0.0)
-
-    def test_rejects_wrong_length_in_contains(self):
-        forecast = Forecast(mean=np.zeros(2), std=np.ones(2))
-        with pytest.raises(ConfigurationError):
-            forecast.contains(np.zeros(3))
 
     def test_horizon(self):
         assert Forecast(mean=np.zeros(7), std=np.ones(7)).horizon == 7

@@ -61,7 +61,7 @@ class TestForecast:
         train, test = series[: 10 * period], series[10 * period : 11 * period]
         model = HoltWinters(period=period).fit(train)
         forecast = model.forecast(period)
-        inside = forecast.contains(test)
+        inside = (test >= forecast.lower) & (test <= forecast.upper)
         assert inside.mean() > 0.85
 
     def test_band_tighter_than_arima(self, paper_dataset):

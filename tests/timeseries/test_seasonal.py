@@ -39,12 +39,12 @@ class TestFit:
 
     def test_from_matrix(self, rng):
         matrix = rng.normal(1.0, 0.1, size=(10, SLOTS_PER_WEEK))
-        profile = SeasonalProfile.from_matrix(matrix)
+        profile = SeasonalProfile.fit(matrix.ravel())
         assert np.allclose(profile.mean, matrix.mean(axis=0))
 
     def test_from_matrix_rejects_single_row(self, rng):
         with pytest.raises(ModelError):
-            SeasonalProfile.from_matrix(rng.normal(size=(1, SLOTS_PER_WEEK)))
+            SeasonalProfile.fit(rng.normal(size=(1, SLOTS_PER_WEEK)).ravel())
 
 
 class TestPredictAndZScores:

@@ -140,10 +140,3 @@ class TestTransportRegistry:
         with pytest.raises(TransportError, match="no endpoint registered"):
             transport.call(_env("r1"))
         assert transport.endpoint_or_none("s1") is None
-
-    def test_unregister(self):
-        transport = InProcTransport()
-        endpoint, _ = _counting_endpoint()
-        transport.register(endpoint)
-        transport.unregister("s1")
-        assert transport.shards == ()
