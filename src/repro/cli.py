@@ -694,8 +694,7 @@ def _monitor_command(args: argparse.Namespace) -> int:
     if args.profile_out:
         from repro.observability.ops import StageProfiler
 
-        profiler = StageProfiler()
-        service.profiler = profiler
+        profiler = service.profiler = StageProfiler()
     if args.wal_dir:
         try:
             wal = WriteAheadLog(args.wal_dir, metrics=service.metrics)
@@ -706,7 +705,6 @@ def _monitor_command(args: argparse.Namespace) -> int:
             service,
             wal,
             checkpoint_path=args.checkpoint,
-            profiler=profiler,
         )
         ingest = monitor.ingest_cycle
     else:
@@ -988,11 +986,6 @@ def _run_monitor_eventtime(
         batches.append(scramble.pop_due(t))
     batches.append(scramble.drain())
 
-    profiler = None
-    if args.profile_out:
-        from repro.observability.ops import StageProfiler
-
-        profiler = StageProfiler()
     start_batch = 0
     if args.recover:
         try:
@@ -1004,10 +997,6 @@ def _run_monitor_eventtime(
             return 2
         service = ingestor.service
         start_batch = ingestor.deliveries
-        if profiler is not None:
-            # Attach after replay so replayed batches are not profiled.
-            ingestor.profiler = profiler
-            service.profiler = profiler
         print(
             f"recovered from {args.wal_dir}: {start_batch} delivery "
             "batch(es) replayed"
@@ -1025,7 +1014,13 @@ def _run_monitor_eventtime(
         except DurabilityError as exc:
             print(f"recovery failed: {exc}", file=sys.stderr)
             return 2
-        ingestor = EventTimeIngestor(service, wal=wal, profiler=profiler)
+        ingestor = EventTimeIngestor(service, wal=wal)
+    profiler = None
+    if args.profile_out:
+        from repro.observability.ops import StageProfiler
+
+        # Attached after any replay, so replayed batches are not profiled.
+        profiler = service.profiler = StageProfiler()
 
     delivered_batches = 0
     for batch in batches[start_batch:]:
@@ -1196,25 +1191,13 @@ def _run_monitor_fleet(
             events=events,
         )
     profiler = None
-
-    def _attach_profiler() -> None:
-        # Shared across shards and attached to both layers: the durable
-        # wrapper charges wal_append/wal_sync/checkpoint, the service
-        # charges firewall/ingest/scoring — one profile, whole path.
-        for w in fleet.workers():
-            if w.monitor is None:
-                continue
-            inner = w.monitor.inner
-            if inner.profiler is None:
-                inner.profiler = profiler
-            if inner.service.profiler is None:
-                inner.service.profiler = profiler
-
     if args.profile_out:
         from repro.observability.ops import StageProfiler
 
-        profiler = StageProfiler()
-        _attach_profiler()
+        # Shared across shards: the fleet attaches it to every shard
+        # service it builds, so heal restarts and added shards stay in
+        # the one profile of the whole write path.
+        profiler = fleet.profiler = StageProfiler()
     channel = _monitor_channel(args)
     start_slot = fleet.cycle
     if start_slot:
@@ -1257,8 +1240,6 @@ def _run_monitor_fleet(
                     f"moved {moved}/{len(ids)} consumers",
                     file=sys.stderr,
                 )
-                if profiler is not None:
-                    _attach_profiler()
             cycle_rng = np.random.default_rng((args.seed + 1, t))
             readings = {cid: float(series[cid][t]) for cid in ids}
             delivered = channel.transmit(readings, cycle_rng)

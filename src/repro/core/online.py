@@ -32,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.grid.balance import BalanceAuditor
 from repro.grid.snapshot import DemandSnapshot
 from repro.integrity.config import IntegrityConfig
 from repro.loadcontrol.config import LoadControlConfig, ShedPolicy
-from repro.loadcontrol.deadline import Deadline
+from repro.loadcontrol.deadline import STAGE_SECONDS_BUCKETS, Deadline
 from repro.loadcontrol.queue import BackpressureSignal
 from repro.loadcontrol.shedding import LoadShedder, ShedTier
 from repro.metering.store import ReadingStore
@@ -57,7 +57,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     use_registry,
 )
-from repro.observability.ops.profiler import NULL_STAGE
 from repro.observability.tracing import Tracer
 from repro.resilience.circuit import BreakerBoard, BreakerState
 from repro.resilience.config import ResilienceConfig
@@ -282,12 +281,18 @@ class TheftMonitoringService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events
         self.tracer = tracer
-        #: Optional :class:`~repro.observability.ops.StageProfiler`
-        #: attached after construction (by a DurableTheftMonitor, an
-        #: EventTimeIngestor, or directly).  Deliberately not a
-        #: constructor argument: profilers are run-scoped diagnostics
-        #: and never ride checkpoints.
+        #: Optional :class:`~repro.observability.ops.StageProfiler`,
+        #: the profile subscriber of :meth:`stage`; attached after
+        #: construction (by the CLI or an ElasticFleet).  Deliberately
+        #: not a constructor argument: profilers are run-scoped
+        #: diagnostics and never ride checkpoints.
         self.profiler = None
+        #: Bound ``fdeta_stage_seconds`` observers by stage, and the
+        #: bound ``fdeta_ingest_cycle_seconds`` observer: bound on first
+        #: use (no zero-count series), against this instance's registry
+        #: — a restored service binds afresh to its restored registry.
+        self._stage_timers: dict[str, Callable[[float], None]] = {}
+        self._cycle_timer: Callable[[float], None] | None = None
         self.firewall = firewall if firewall is not None else ReadingFirewall()
         self.loadcontrol = loadcontrol
         self.eventtime = eventtime
@@ -395,16 +400,40 @@ class TheftMonitoringService:
             return contextlib.nullcontext()
         return self.tracer.span(name, **fields)
 
-    def _profile(self, name: str):
-        """A profiler stage window, or a shared no-op when unprofiled.
+    @contextlib.contextmanager
+    def stage(
+        self, name: str, deadline: Deadline | None = None
+    ) -> Iterator[None]:
+        """Time one pipeline stage window: the one stage timer.
 
-        Unlike ``_span`` this is hot-path safe: spans accumulate one
-        object per call forever, while the sampling profiler keeps
-        O(stages) state no matter how many cycles run.
+        The clock is read once on entry and once on exit, and that one
+        elapsed value goes to every subscriber: the
+        ``fdeta_stage_seconds{stage=name}`` histogram, the attached
+        :attr:`profiler` (if any), and ``deadline``, which records an
+        overrun if its budget is spent when the stage ends.  The stage
+        records even when its body raises.
         """
-        if self.profiler is None:
-            return NULL_STAGE
-        return self.profiler.stage(name)
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.enter()
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = perf_counter() - start
+            observe = self._stage_timers.get(name)
+            if observe is None:
+                observe = self._stage_timers[name] = self.metrics.histogram(
+                    "fdeta_stage_seconds",
+                    "Wall-clock seconds spent per pipeline stage.",
+                    labels=("stage",),
+                    buckets=STAGE_SECONDS_BUCKETS,
+                ).bind(stage=name)
+            observe(elapsed)
+            if profiler is not None:
+                profiler.leave(name, elapsed)
+            if deadline is not None:
+                deadline.check(name)
 
     def ingest_cycle(
         self,
@@ -417,13 +446,12 @@ class TheftMonitoringService:
         Returns a :class:`MonitoringReport` when this cycle completes a
         week, ``None`` otherwise.
 
-        ``deadline`` is the cycle's time budget (an unlimited one is
-        created when omitted, so stage latencies are always accounted).
-        The pipeline stages — ``firewall``, ``ingest``, ``scoring`` —
-        each record their elapsed seconds against it; an expired
-        deadline never aborts a stage mid-flight, but the weekly
-        scoring pass consults it between consumers and (with a shedding
-        policy configured) sheds the unscored remainder.
+        ``deadline`` is the cycle's time budget.  The pipeline stages —
+        ``firewall``, ``ingest``, ``scoring`` — are timed by
+        :meth:`stage` and checked against it; an expired deadline never
+        aborts a stage mid-flight, but the weekly scoring pass consults
+        it between consumers and (with a shedding policy configured)
+        sheds the unscored remainder.
 
         The cycle is screened by the firewall first: readings may be
         plain floats or :class:`~repro.quarantine.firewall.MeterReading`
@@ -436,18 +464,16 @@ class TheftMonitoringService:
         population raises.
         """
         started = perf_counter()
-        if deadline is None:
-            deadline = Deadline.unlimited(metrics=self.metrics)
         if self._population is None:
             self._set_population(reported)
-        with self._profile("firewall"), deadline.stage("firewall"):
+        with self.stage("firewall", deadline):
             reported = self.firewall.screen(
                 reported,
                 cycle=self._slot_count,
                 metrics=self.metrics,
                 events=self.events,
             )
-        with self._profile("ingest"), deadline.stage("ingest"):
+        with self.stage("ingest", deadline):
             self._ingest(reported)
         self._slot_count += 1
         self._last_snapshot = snapshot
@@ -457,17 +483,19 @@ class TheftMonitoringService:
             # Detector fit/score latencies record into the global
             # registry; route them into this service's registry for the
             # duration of the weekly processing.
-            with use_registry(self.metrics):
-                with self._profile("scoring"), deadline.stage("scoring"):
-                    report = self._complete_week(deadline)
+            with use_registry(self.metrics), self.stage("scoring", deadline):
+                report = self._complete_week(deadline)
         self.metrics.counter(
             "fdeta_ingest_cycles_total", "Polling cycles ingested."
         ).inc()
-        self.metrics.histogram(
-            "fdeta_ingest_cycle_seconds",
-            "Latency of one ingest_cycle call (week-completing cycles "
-            "include training/assessment).",
-        ).observe(perf_counter() - started)
+        observe = self._cycle_timer
+        if observe is None:
+            observe = self._cycle_timer = self.metrics.histogram(
+                "fdeta_ingest_cycle_seconds",
+                "Latency of one ingest_cycle call (week-completing cycles "
+                "include training/assessment).",
+            ).bind()
+        observe(perf_counter() - started)
         return report
 
     def _ingest(self, screened: Mapping[str, float]) -> None:
@@ -605,7 +633,7 @@ class TheftMonitoringService:
             for cid in self.store.consumers():
                 matrix, weeks = self._training_rows(cid)
                 if self.integrity is not None and matrix.shape[0] >= 2:
-                    with self._profile("integrity_screen"):
+                    with self.stage("integrity_screen"):
                         matrix, weeks = self._screen_consumer(
                             cid, matrix, weeks
                         )
@@ -682,7 +710,7 @@ class TheftMonitoringService:
             week=self._weeks_completed - 1,
             cycle=self._slot_count,
         )
-        with self._profile("canary_gate"):
+        with self.stage("canary_gate"):
             report = CanaryGate(self.integrity).evaluate(
                 framework,
                 # Anchored honest exemplars (earliest kept week at each
@@ -1242,7 +1270,7 @@ class TheftMonitoringService:
                 f"through {self._slot_count - 1}); offer the reading to "
                 "the reorder buffer instead"
             )
-        week_index = self.eventtime.clock.week_of(slot)
+        week_index = slot // SLOTS_PER_WEEK
         if self.eventtime.finalization_slot(week_index) <= self._slot_count:
             raise DataError(
                 f"week {week_index} is finalized; a reading for slot "

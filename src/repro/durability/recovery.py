@@ -38,7 +38,6 @@ from repro.errors import (
     StorageDegradedError,
     TransientStorageError,
 )
-from repro.observability.ops.profiler import maybe_stage
 from repro.quarantine.firewall import MeterReading
 from repro.resilience.checkpoint import (
     previous_generation_path,
@@ -228,12 +227,6 @@ class DurableTheftMonitor:
     sync_every_cycles:
         fsync cadence; ``1`` (default) makes every acknowledged cycle
         durable, larger values trade the crash window for throughput.
-    profiler:
-        Optional :class:`~repro.observability.ops.StageProfiler`.  The
-        durable hot path charges its ``wal_append``, ``wal_sync``, and
-        ``checkpoint`` windows to it, and the profiler is shared with
-        the wrapped service (which charges ``firewall``, ``ingest``,
-        and ``scoring``) so one profile covers the whole write path.
 
     WAL compaction lags one checkpoint behind: segments are dropped only
     once the *previous* generation covers them, so a corrupt current
@@ -261,7 +254,6 @@ class DurableTheftMonitor:
         wal: WriteAheadLog,
         checkpoint_path: str | os.PathLike | None = None,
         sync_every_cycles: int = 1,
-        profiler: "object | None" = None,
     ) -> None:
         if sync_every_cycles < 1:
             raise ConfigurationError(
@@ -273,9 +265,6 @@ class DurableTheftMonitor:
             os.fspath(checkpoint_path) if checkpoint_path is not None else None
         )
         self.sync_every_cycles = int(sync_every_cycles)
-        self.profiler = profiler
-        if profiler is not None and service.profiler is None:
-            service.profiler = profiler
         self._last_checkpoint_cycle: int | None = None
         self._cycles_since_sync = 0
         self.redelivered_cycles = 0
@@ -308,10 +297,11 @@ class DurableTheftMonitor:
         (last-write-wins, counted as duplicates) without advancing the
         polling clock, so recovery overlap can never double-count.
 
-        ``deadline`` (the cycle's time budget) charges the WAL append
-        and fsync to a ``wal_append`` stage before being handed to the
-        service, so durability cost shows up in the same per-stage
-        accounting as screening and scoring.
+        The WAL append and fsync are timed as the service's
+        ``wal_append`` stage (checked against ``deadline``, the cycle's
+        time budget, which is then handed to the service), so
+        durability cost shows up in the same per-stage accounting as
+        screening and scoring.
 
         In degraded read-only mode the call first probes the volume
         (:meth:`try_resume`) and raises
@@ -337,12 +327,8 @@ class DurableTheftMonitor:
                 f"cycle {expected}; the head-end skipped ahead"
             )
         try:
-            with maybe_stage(self.profiler, "wal_append"):
-                if deadline is not None:
-                    with deadline.stage("wal_append"):
-                        self._append(cycle_index, reported)
-                else:
-                    self._append(cycle_index, reported)
+            with self.service.stage("wal_append", deadline):
+                self._append(cycle_index, reported)
         except DiskFullError as exc:
             # The append rolled back cleanly (no partial record) and the
             # cycle was never acknowledged; stop accepting and keep
@@ -377,10 +363,10 @@ class DurableTheftMonitor:
         still replay ``<path>.prev`` forward if the new file corrupts.
         """
         if self._cycles_since_sync:
-            with maybe_stage(self.profiler, "wal_sync"):
+            with self.service.stage("wal_sync"):
                 self.wal.sync()
             self._cycles_since_sync = 0
-        with maybe_stage(self.profiler, "checkpoint"):
+        with self.service.stage("checkpoint"):
             self.service.checkpoint(self.checkpoint_path)
         cycle = self.service.cycles_ingested
         self.wal.mark_checkpoint(cycle)

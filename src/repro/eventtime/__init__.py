@@ -9,7 +9,6 @@ grace window — trigger reconciliation and versioned verdict revisions;
 anything later is quarantined as ``too_late``.
 """
 
-from repro.eventtime.clock import SlotClock
 from repro.eventtime.config import EventTimeConfig
 from repro.eventtime.ingestion import (
     DeliveryOutcome,
@@ -28,7 +27,6 @@ __all__ = [
     "ReorderBuffer",
     "RevisionKind",
     "RevisionLog",
-    "SlotClock",
     "StampedReading",
     "VerdictRevision",
     "WatermarkTracker",

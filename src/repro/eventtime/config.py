@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.eventtime.clock import SlotClock
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 
@@ -34,16 +33,11 @@ class EventTimeConfig:
         Offers beyond the bound are rejected, never silently dropped —
         the same reject-not-drop contract as
         :class:`~repro.loadcontrol.queue.BoundedCycleQueue`.
-
-    ``clock``
-        The slot <-> timestamp mapping shared with the quarantine
-        firewall (single source of truth for slot arithmetic).
     """
 
     lateness_slots: int = 48
     grace_weeks: int = 1
     max_pending_readings: int | None = None
-    clock: SlotClock = field(default_factory=SlotClock)
 
     def __post_init__(self) -> None:
         if self.lateness_slots < 0:

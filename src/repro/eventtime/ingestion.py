@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.eventtime.reorder import OfferOutcome, ReorderBuffer, StampedReading
 from repro.eventtime.watermark import WatermarkTracker
 from repro.loadcontrol.queue import BackpressureSignal
-from repro.observability.ops.profiler import maybe_stage
+from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.online import MonitoringReport, TheftMonitoringService
@@ -104,20 +104,18 @@ class EventTimeIngestor:
         Optional :class:`~repro.durability.wal.WriteAheadLog`; delivery
         batches are appended before processing and synced at week
         boundaries, so a crashed run replays to the same state.
-    profiler:
-        Optional :class:`~repro.observability.ops.StageProfiler`.  The
-        delivery path charges ``route``, ``release``, ``wal_append``,
-        and ``finish`` windows to it, and the profiler is shared with
-        the wrapped service (which charges ``firewall``, ``ingest``,
-        and ``scoring``) so one profile covers the whole event-time
-        pipeline.
+
+    The delivery path times its ``wal_append``, ``route``, ``release``
+    and ``finish`` windows as stages of the wrapped service
+    (:meth:`~repro.core.online.TheftMonitoringService.stage`), so one
+    histogram family and one profile cover the whole event-time
+    pipeline.
     """
 
     def __init__(
         self,
         service: "TheftMonitoringService",
         wal: "WriteAheadLog | None" = None,
-        profiler: "object | None" = None,
     ) -> None:
         config = service.eventtime
         if config is None:
@@ -134,9 +132,6 @@ class EventTimeIngestor:
         self.service = service
         self.config = config
         self.wal = wal
-        self.profiler = profiler
-        if profiler is not None and service.profiler is None:
-            service.profiler = profiler
         self.buffer = ReorderBuffer(max_pending=config.max_pending_readings)
         self.tracker = WatermarkTracker(lateness_slots=config.lateness_slots)
         self.signal = BackpressureSignal(
@@ -175,17 +170,17 @@ class EventTimeIngestor:
             # Append-before-process: the batch must be durable before it
             # can mutate watermark or service state, so replay sees
             # exactly the deliveries the live run acted on.
-            with maybe_stage(self.profiler, "wal_append"):
+            with self.service.stage("wal_append"):
                 self.wal.append_delivery(
                     index,
                     ((r.consumer_id, r.slot, r.value) for r in readings),
                 )
         self.deliveries += 1
         counts = _Counts()
-        with maybe_stage(self.profiler, "route"):
+        with self.service.stage("route"):
             for reading in readings:
                 self._route(reading, counts)
-        with maybe_stage(self.profiler, "release"):
+        with self.service.stage("release"):
             self._release(counts)
         self._publish_telemetry()
         if self.wal is not None and counts.reports:
@@ -204,7 +199,7 @@ class EventTimeIngestor:
             self.wal.append_finish(self.deliveries)
         self.finished = True
         counts = _Counts()
-        with maybe_stage(self.profiler, "finish"):
+        with self.service.stage("finish"):
             for slot, released in self.buffer.flush():
                 counts.released_slots += 1
                 report = self.service.ingest_cycle(released)
@@ -246,7 +241,7 @@ class EventTimeIngestor:
                 self.buffer.max_pending or 0,
             )
         else:  # LATE: the slot was already released.
-            week = self.config.clock.week_of(reading.slot)
+            week = reading.slot // SLOTS_PER_WEEK
             released = self.service.cycles_ingested
             if self.config.finalization_slot(week) <= released:
                 counts.too_late += 1

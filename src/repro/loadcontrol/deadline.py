@@ -1,16 +1,17 @@
-"""Per-cycle time budgets with per-stage accounting.
+"""Per-cycle time budgets with overrun accounting.
 
 A polling cycle that completes a week runs the whole pipeline —
 firewall screening, WAL append, gap repair, detector scoring — and
 under overload any of those stages can eat the cycle's budget.  A
-:class:`Deadline` is created once per cycle and threaded through every
-stage: each stage records its elapsed seconds (into
-``fdeta_stage_seconds{stage=...}``), and the first stage to finish past
-the budget records a deadline overrun (``fdeta_deadline_overruns_total``
-plus an overrun-magnitude histogram and a structured event).  Stages
-never abort mid-flight; downstream code *asks* the deadline whether to
-keep going (``deadline.expired``) and degrades gracefully — shedding
-the rest of the scoring pass — instead of being interrupted.
+:class:`Deadline` is created once per cycle and handed to every stage
+window (:meth:`~repro.core.online.TheftMonitoringService.stage`, which
+also times the stage into ``fdeta_stage_seconds{stage=...}``); each
+stage that finishes past the budget records a deadline overrun
+(``fdeta_deadline_overruns_total`` plus, for the first one, an
+overrun-magnitude histogram and a structured event).  Stages never
+abort mid-flight; downstream code *asks* the deadline whether to keep
+going (``deadline.expired``) and degrades gracefully — shedding the
+rest of the scoring pass — instead of being interrupted.
 
 The clock is injectable so overload tests are deterministic: a fake
 clock advanced by the test stands in for ``perf_counter``.
@@ -18,9 +19,8 @@ clock advanced by the test stands in for ``perf_counter``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
 
@@ -47,17 +47,17 @@ STAGE_SECONDS_BUCKETS: tuple[float, ...] = (
 
 
 class Deadline:
-    """Wall-clock budget for one polling cycle, with stage accounting.
+    """Wall-clock budget for one polling cycle, with overrun accounting.
 
     Parameters
     ----------
     budget_s:
         Seconds the whole cycle may spend; ``None`` means unlimited
-        (stages are still accounted, overruns never fire).
+        (overruns never fire).
     clock:
         Monotonic time source; injectable for deterministic tests.
     metrics / events:
-        Optional sinks for stage latencies, overrun counters, and the
+        Optional sinks for overrun counters and the
         ``deadline_overrun`` structured event.
     cycle:
         Polling-cycle index carried into events for correlation.
@@ -81,20 +81,8 @@ class Deadline:
         self.events = events
         self.cycle = cycle
         self._started = clock()
-        self.stage_seconds: dict[str, float] = {}
         self.overrun_stages: list[str] = []
         self._overrun_recorded = False
-
-    @classmethod
-    def unlimited(
-        cls,
-        clock: Callable[[], float] = perf_counter,
-        metrics: "MetricsRegistry | None" = None,
-        events: "EventLogger | None" = None,
-        cycle: int | None = None,
-    ) -> "Deadline":
-        """A deadline that accounts stages but never expires."""
-        return cls(None, clock=clock, metrics=metrics, events=events, cycle=cycle)
 
     # ------------------------------------------------------------------
     # Budget queries
@@ -104,40 +92,15 @@ class Deadline:
         """Seconds spent since the deadline was created."""
         return self._clock() - self._started
 
-    def remaining(self) -> float:
-        """Seconds left in the budget (``inf`` when unlimited)."""
-        if self.budget_s is None:
-            return float("inf")
-        return self.budget_s - self.elapsed()
-
     @property
     def expired(self) -> bool:
         """Whether the cycle's budget has been spent."""
         return self.budget_s is not None and self.elapsed() >= self.budget_s
 
-    # ------------------------------------------------------------------
-    # Stage accounting
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator["Deadline"]:
-        """Account one pipeline stage; records an overrun if the budget
-        is exhausted by the time the stage finishes."""
-        start = self._clock()
-        try:
-            yield self
-        finally:
-            spent = self._clock() - start
-            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + spent
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "fdeta_stage_seconds",
-                    "Wall-clock seconds spent per pipeline stage.",
-                    labels=("stage",),
-                    buckets=STAGE_SECONDS_BUCKETS,
-                ).observe(spent, stage=name)
-            if self.expired:
-                self._record_overrun(name)
+    def check(self, stage: str) -> None:
+        """Record an overrun if the budget is spent as ``stage`` ends."""
+        if self.expired:
+            self._record_overrun(stage)
 
     def _record_overrun(self, stage: str) -> None:
         self.overrun_stages.append(stage)

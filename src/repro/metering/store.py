@@ -49,7 +49,9 @@ class ReadingStore:
         self._rows: dict[str, int] = {}
         self._free: list[int] = []
         self._lengths = np.zeros(0, dtype=np.int64)
-        self._matrix = np.full((0, SLOTS_PER_WEEK), np.nan)
+        # An eighth of a week: doubling reaches SLOTS_PER_WEEK exactly,
+        # and a meter costs 42 slots, not a week, before its first week.
+        self._matrix = np.full((0, SLOTS_PER_WEEK // 8), np.nan)
         #: Bumped whenever a row is added or dropped; keys the cached
         #: id → row index of :meth:`_row_index`.
         self._layout = 0

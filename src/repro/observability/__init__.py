@@ -18,8 +18,8 @@ three classic signals, dependency-free:
   performance records for the benchmark harness, stamped with git SHA
   and schema version, plus :func:`bench_diff` regression gating;
 * :mod:`repro.observability.ops` — the fleet operations plane:
-  per-shard health/readiness rollups, SLO error-budget burn rates, a
-  sampling hot-path :class:`~repro.observability.ops.StageProfiler`,
+  per-shard health/readiness rollups, SLO error-budget burn rates, the
+  exact per-stage :class:`~repro.observability.ops.StageProfiler`,
   and the ``repro-monitor status`` text dashboard.
 
 Instrumented components: :class:`~repro.core.online.TheftMonitoringService`

@@ -36,7 +36,8 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -195,6 +196,19 @@ class _HistogramSample:
         self.count = 0
 
 
+def _observe_into(
+    buckets: tuple[float, ...], sample: _HistogramSample, value: float
+) -> None:
+    for i, bound in enumerate(buckets):
+        if value <= bound:
+            sample.bucket_counts[i] += 1
+            break
+    # Values above the last bound land only in the implicit +Inf
+    # bucket, i.e. in `count`.
+    sample.sum += value
+    sample.count += 1
+
+
 class Histogram(_MetricFamily):
     """Fixed-bucket histogram (cumulative buckets only at exposition)."""
 
@@ -233,16 +247,15 @@ class Histogram(_MetricFamily):
         return sample  # type: ignore[return-value]
 
     def observe(self, value: float, **labels: object) -> None:
-        value = float(value)
-        sample = self._sample(labels)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                sample.bucket_counts[i] += 1
-                break
-        # Values above the last bound land only in the implicit +Inf
-        # bucket, i.e. in `count`.
-        sample.sum += value
-        sample.count += 1
+        _observe_into(self.buckets, self._sample(labels), float(value))
+
+    def bind(self, **labels: object) -> Callable[[float], None]:
+        """:meth:`observe` for one label set, resolved once.
+
+        The sample is created here, so bind on first use: a label set
+        bound but never observed would export a zero-count series.
+        """
+        return partial(_observe_into, self.buckets, self._sample(labels))
 
     def observe_many(self, values: Iterable[float], **labels: object) -> None:
         """:meth:`observe` every value, in order, with one bucket search.
@@ -267,17 +280,6 @@ class Histogram(_MetricFamily):
             total += value
         sample.sum = total
         sample.count += int(batch.size)
-
-    @contextmanager
-    def time(self, **labels: object) -> Iterator[None]:
-        """Observe the duration of the ``with`` body, in seconds."""
-        from time import perf_counter
-
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(perf_counter() - start, **labels)
 
     def count(self, **labels: object) -> int:
         sample = self._samples.get(self._key(labels))

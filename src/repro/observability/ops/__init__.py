@@ -13,9 +13,9 @@ storms, reordering, and elastic rebalancing; this subpackage makes it
   multi-window error-budget burn rates for configurable objectives
   (cycle-latency p99, ingest availability, verdict staleness);
 * :mod:`~repro.observability.ops.profiler` —
-  :class:`~repro.observability.ops.profiler.StageProfiler`, a sampling
-  per-stage self/cumulative-time profiler cheap enough for the hot
-  path;
+  :class:`~repro.observability.ops.profiler.StageProfiler`, the exact
+  per-stage self/cumulative-time profile fed by the service's one
+  stage timer;
 * :mod:`~repro.observability.ops.status` — the plain-text operator
   dashboard behind ``repro-monitor status``.
 """

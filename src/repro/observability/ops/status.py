@@ -174,23 +174,19 @@ def _render_slo(slo: Mapping) -> list[str]:
 
 
 def _render_profile(profile: Mapping, top: int = 10) -> list[str]:
-    lines = [
-        f"HOT STAGES (sampling 1/{profile.get('sample_every', '?')})",
-    ]
-    rows = []
-    for entry in profile.get("hot_stages", ())[:top]:
-        rows.append(
-            (
-                entry.get("stage", "?"),
-                entry.get("calls", "?"),
-                f"{entry.get('est_self_s', 0):.4f}s",
-                f"{entry.get('est_cum_s', 0):.4f}s",
-            )
+    rows = [
+        (
+            entry.get("stage", "?"),
+            entry.get("calls", "?"),
+            f"{entry.get('self_s', 0):.4f}s",
+            f"{entry.get('cum_s', 0):.4f}s",
         )
-    lines.append(
-        _indent(_table(("STAGE", "CALLS", "SELF(est)", "CUM(est)"), rows))
-    )
-    return lines
+        for entry in profile.get("hot_stages", ())[:top]
+    ]
+    return [
+        "HOT STAGES",
+        _indent(_table(("STAGE", "CALLS", "SELF_S", "CUM_S"), rows)),
+    ]
 
 
 def _indent(block: str, by: str = "  ") -> str:

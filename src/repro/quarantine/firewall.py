@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
-from repro.eventtime.clock import SlotClock
 from repro.quarantine.store import (
     QuarantinedReading,
     QuarantineReason,
@@ -93,7 +92,6 @@ class ReadingFirewall:
 
     policy: FirewallPolicy = field(default_factory=FirewallPolicy)
     store: QuarantineStore = field(default_factory=QuarantineStore)
-    clock: SlotClock = field(default_factory=SlotClock)
     screened_cycles: int = 0
 
     def screen(
@@ -202,10 +200,9 @@ class ReadingFirewall:
                 "ambiguous repeated DST fall-back slot",
             )
         if slot is not None:
-            # Slot arithmetic delegates to the shared event-time clock so
-            # the firewall and the watermark layer agree on what "ahead"
-            # and "behind" mean (positive skew = meter clock runs ahead).
-            skew = self.clock.skew(slot, cycle)
+            # Positive skew = the meter's clock runs ahead of the
+            # head-end's (the reading claims a future slot).
+            skew = slot - cycle
             if skew < 0:
                 return (
                     QuarantineReason.DUPLICATE,

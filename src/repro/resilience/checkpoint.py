@@ -61,7 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v6 added training-integrity state (IntegrityConfig, the versioned
 #: model registry with lineage and restore points, and the sentinel's
 #: suspect-week exclusions).
-CHECKPOINT_VERSION = 6
+#: v7 dropped the slot clock from the firewall and the EventTimeConfig
+#: (its module is gone, so a v6 file no longer unpickles).
+CHECKPOINT_VERSION = 7
 
 _MAGIC = "fdeta-checkpoint"
 
@@ -177,7 +179,9 @@ def load_checkpoint(
     no longer unpickles into a checkpoint) instead of silently restoring
     a forged history.  A version mismatch is a plain
     :class:`CheckpointError`: the file is intact, just unreadable by
-    this code.
+    this code — as is a file whose pickle names a module this code no
+    longer has (written by an incompatible version; it must not fall
+    back to ``.prev``, which would hide the mismatch).
     """
     from repro.core.online import TheftMonitoringService
 
@@ -195,6 +199,11 @@ def load_checkpoint(
         )
     try:
         payload = pickle.load(_io.BytesIO(data))
+    except ImportError as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} was written by an incompatible version "
+            f"({exc}); expected version {CHECKPOINT_VERSION}"
+        ) from exc
     except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
         raise CorruptCheckpointError(
             f"checkpoint {path!r} is corrupt: {exc}"

@@ -92,6 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.loadcontrol.queue import BackpressureSignal
     from repro.observability.events import EventLogger
     from repro.observability.metrics import MetricsRegistry
+    from repro.observability.ops import StageProfiler
 
 __all__ = ["ElasticFleet", "ShardWorker"]
 
@@ -241,6 +242,7 @@ class ElasticFleet:
         self._handoff_span = None
         self._phase_span = None
         self._backpressure: "BackpressureSignal | None" = None
+        self._profiler: "StageProfiler | None" = None
         self.restarts_total = 0
         self.handoffs_total = 0
         self._closed = False
@@ -443,10 +445,29 @@ class ElasticFleet:
             if worker.monitor is not None:
                 worker.monitor.service.backpressure = signal
 
+    @property
+    def profiler(self) -> "StageProfiler | None":
+        """Fleet-wide stage profiler, set on every shard's service.
+
+        Like :attr:`backpressure`, :meth:`_wrap` attaches it to each
+        worker it builds, so a shard rebuilt by a heal restart or added
+        by a rebalance stays in the profile.  A recovering shard's WAL
+        replay runs before the attach, so only live cycles are profiled.
+        """
+        return self._profiler
+
+    @profiler.setter
+    def profiler(self, profiler: "StageProfiler | None") -> None:
+        self._profiler = profiler
+        for worker in self._workers.values():
+            if worker.monitor is not None:
+                worker.monitor.service.profiler = profiler
+
     def _wrap(
         self, service: "TheftMonitoringService", worker: ShardWorker
     ) -> FencedMonitor:
         service.backpressure = self._backpressure
+        service.profiler = self._profiler
         if self.tracer is not None and service.tracer is None:
             # Per-shard tracers get the shard's name as their id
             # namespace, so stitched traces never collide across shards.

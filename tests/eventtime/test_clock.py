@@ -1,41 +1,10 @@
-"""SlotClock and EventTimeConfig: the event-time coordinate system."""
+"""EventTimeConfig: the event-time coordinate system (slots and weeks)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eventtime import EventTimeConfig, SlotClock
+from repro.eventtime import EventTimeConfig
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
-
-
-class TestSlotClock:
-    def test_week_of_and_slot_in_week(self):
-        clock = SlotClock()
-        assert clock.week_of(0) == 0
-        assert clock.week_of(SLOTS_PER_WEEK - 1) == 0
-        assert clock.week_of(SLOTS_PER_WEEK) == 1
-        assert clock.slot_in_week(SLOTS_PER_WEEK + 7) == 7
-
-    def test_week_bounds_half_open(self):
-        clock = SlotClock()
-        start, end = 2 * SLOTS_PER_WEEK, 3 * SLOTS_PER_WEEK
-        assert clock.week_of(start - 1) == 1
-        assert clock.week_of(start) == 2
-        assert clock.week_of(end - 1) == 2
-        assert clock.week_of(end) == 3
-
-    def test_skew_sign_convention(self):
-        clock = SlotClock()
-        # Positive skew: the meter's declared slot is ahead of the
-        # head-end's reference (a fast meter clock).
-        assert clock.skew(12, 10) == 2
-        assert clock.skew(8, 10) == -2
-        assert clock.skew(10, 10) == 0
-
-    def test_slot_seconds_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            SlotClock(slot_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            SlotClock(slot_seconds=-1800.0)
 
 
 class TestEventTimeConfig:

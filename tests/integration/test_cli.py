@@ -331,6 +331,77 @@ class TestCommands:
         assert "Table II" in capsys.readouterr().out
 
 
+class TestMonitorProfileOut:
+    """``--profile-out`` exports the same measurement as the
+    ``fdeta_stage_seconds`` series of ``--metrics-out``."""
+
+    _base = [
+        "monitor",
+        "--consumers",
+        "4",
+        "--weeks",
+        "3",
+        "--min-training-weeks",
+        "2",
+    ]
+
+    @staticmethod
+    def _series(path, name):
+        from repro.observability.metrics import parse_prometheus
+
+        series = parse_prometheus(path.read_text())
+        return {
+            labels.get("stage"): value for labels, value in series[name]
+        }
+
+    @pytest.mark.parametrize(
+        "path_args,shards",
+        [
+            ([], 1),
+            (["--eventtime", "--scramble-delay", "3"], 1),
+            (["--shards", "2", "--wal-dir", "fleet"], 2),
+        ],
+        ids=["plain", "eventtime", "shards"],
+    )
+    def test_profile_matches_stage_histogram(
+        self, tmp_path, capsys, monkeypatch, path_args, shards
+    ):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        argv = self._base + path_args + [
+            "--profile-out",
+            "profile.json",
+            "--metrics-out",
+            "metrics.prom",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        counts = self._series(
+            tmp_path / "metrics.prom", "fdeta_stage_seconds_count"
+        )
+        sums = self._series(
+            tmp_path / "metrics.prom", "fdeta_stage_seconds_sum"
+        )
+        (cycles,) = self._series(
+            tmp_path / "metrics.prom", "fdeta_ingest_cycles_total"
+        ).values()
+        stages = profile["stages"]
+        assert set(stages) == set(counts)
+        for stage, stats in stages.items():
+            assert stats["calls"] == counts[stage], stage
+            if shards == 1:
+                # One service: the same float additions in the same order.
+                assert stats["cum_s"] == sums[stage], stage
+        assert stages["firewall"]["calls"] == cycles == shards * 3 * 336
+        if shards > 1:
+            assert stages["wal_append"]["calls"] == cycles
+        assert [e["stage"] for e in profile["hot_stages"]] == sorted(
+            stages, key=lambda name: stages[name]["self_s"], reverse=True
+        )[:10]
+
+
 class TestMonitorElastic:
     _base = [
         "monitor",

@@ -188,6 +188,21 @@ class TestScrubCLI:
         assert main(_BASE + ["--checkpoint", str(ckpt), "--resume"]) == 2
         assert "recovery failed:" in capsys.readouterr().err
 
+    def test_resume_from_incompatible_checkpoint_exits_2(
+        self, tmp_path, capsys
+    ):
+        from tests.resilience.test_checkpoint import (
+            write_checkpoint_naming_a_missing_module,
+        )
+
+        ckpt = tmp_path / "monitor.ckpt"
+        write_checkpoint_naming_a_missing_module(ckpt)
+        assert main(_BASE + ["--checkpoint", str(ckpt), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "recovery failed:" in err
+        assert "incompatible version" in err
+        assert "Traceback" not in err
+
     def test_corrupt_shard_checkpoint_reopens_identically(
         self, tmp_path, capsys
     ):

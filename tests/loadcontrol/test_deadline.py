@@ -1,10 +1,14 @@
-"""Deadline accounting with a deterministic fake clock."""
+"""Deadline overrun accounting through the service's stage timer, with a
+deterministic fake clock."""
 
 import io
 import json
 
 import pytest
 
+import repro.core.online as online
+from repro.core.kld import KLDDetector
+from repro.core.online import TheftMonitoringService
 from repro.errors import ConfigurationError
 from repro.loadcontrol.deadline import STAGE_SECONDS_BUCKETS, Deadline
 from repro.observability.events import EventLogger
@@ -24,8 +28,29 @@ class FakeClock:
         self.now += seconds
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    """One fake clock for both the stage timer and the deadline."""
+    fake = FakeClock()
+    monkeypatch.setattr(online, "perf_counter", fake)
+    return fake
+
+
+@pytest.fixture
+def service():
+    return TheftMonitoringService(detector_factory=KLDDetector)
+
+
 def _events(stream):
     return [json.loads(line) for line in stream.getvalue().splitlines()]
+
+
+def _stage_seconds(service):
+    return service.metrics.histogram(
+        "fdeta_stage_seconds",
+        labels=("stage",),
+        buckets=STAGE_SECONDS_BUCKETS,
+    )
 
 
 class TestDeadline:
@@ -35,56 +60,55 @@ class TestDeadline:
         with pytest.raises(ConfigurationError):
             Deadline(-1.0)
 
-    def test_stage_accounting(self):
-        clock = FakeClock()
+    def test_stage_accounting(self, clock, service):
         deadline = Deadline(10.0, clock=clock)
-        with deadline.stage("firewall"):
+        with service.stage("firewall", deadline):
             clock.advance(1.0)
-        with deadline.stage("scoring"):
+        with service.stage("scoring", deadline):
             clock.advance(2.0)
-        with deadline.stage("scoring"):
+        with service.stage("scoring", deadline):
             clock.advance(0.5)
-        assert deadline.stage_seconds == {"firewall": 1.0, "scoring": 2.5}
+        histogram = _stage_seconds(service)
+        assert histogram.sum(stage="firewall") == 1.0
+        assert histogram.sum(stage="scoring") == 2.5
+        assert histogram.count(stage="scoring") == 2
         assert deadline.elapsed() == 3.5
-        assert deadline.remaining() == 6.5
         assert not deadline.expired
         assert not deadline.overran
 
-    def test_expires_when_budget_spent(self):
-        clock = FakeClock()
+    def test_expires_when_budget_spent(self, clock, service):
         deadline = Deadline(1.0, clock=clock)
-        with deadline.stage("ingest"):
+        with service.stage("ingest", deadline):
             clock.advance(1.5)
         assert deadline.expired
         assert deadline.overran
         assert deadline.overrun_stages == ["ingest"]
 
-    def test_unlimited_never_expires(self):
-        clock = FakeClock()
-        deadline = Deadline.unlimited(clock=clock)
-        with deadline.stage("scoring"):
+    def test_unlimited_never_expires(self, clock, service):
+        deadline = Deadline(None, clock=clock)
+        with service.stage("scoring", deadline):
             clock.advance(1e9)
         assert not deadline.expired
         assert not deadline.overran
-        assert deadline.remaining() == float("inf")
-        # Stages are still accounted even without a budget.
-        assert deadline.stage_seconds["scoring"] == 1e9
+        # The stage is still timed without a budget.
+        assert _stage_seconds(service).sum(stage="scoring") == 1e9
 
-    def test_overrun_event_fires_once(self):
-        clock = FakeClock()
+    def test_overrun_event_fires_once(self, clock, service):
         stream = io.StringIO()
         events = EventLogger(stream=stream)
         metrics = MetricsRegistry()
         deadline = Deadline(1.0, clock=clock, metrics=metrics, events=events)
-        with deadline.stage("wal_append"):
+        with service.stage("wal_append", deadline):
             clock.advance(2.0)
-        with deadline.stage("scoring"):
+        with service.stage("scoring", deadline):
             clock.advance(1.0)
         overruns = [
             e for e in _events(stream) if e["event"] == "deadline_overrun"
         ]
         assert len(overruns) == 1
         assert overruns[0]["stage"] == "wal_append"
+        assert overruns[0]["elapsed_s"] == 2.0
+        assert overruns[0]["overrun_by_s"] == 1.0
         # Both stages count in the per-stage overrun counter...
         totals = metrics.totals()
         assert totals[("fdeta_deadline_overruns_total", ("wal_append",))] == 1
@@ -92,25 +116,19 @@ class TestDeadline:
         # ...but the magnitude histogram samples only the first overrun.
         assert totals[("fdeta_deadline_overrun_seconds_count", ())] == 1
 
-    def test_stage_seconds_histogram_observed(self):
-        clock = FakeClock()
-        metrics = MetricsRegistry()
-        deadline = Deadline(10.0, clock=clock, metrics=metrics)
-        with deadline.stage("firewall"):
+    def test_stage_seconds_histogram_observed(self, clock, service):
+        deadline = Deadline(10.0, clock=clock)
+        with service.stage("firewall", deadline):
             clock.advance(0.25)
-        histogram = metrics.histogram(
-            "fdeta_stage_seconds",
-            labels=("stage",),
-            buckets=STAGE_SECONDS_BUCKETS,
-        )
+        histogram = _stage_seconds(service)
         assert histogram.count(stage="firewall") == 1
         assert histogram.sum(stage="firewall") == 0.25
 
-    def test_stage_records_even_when_body_raises(self):
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)
+    def test_stage_records_even_when_body_raises(self, clock, service):
+        deadline = Deadline(0.5, clock=clock)
         with pytest.raises(RuntimeError):
-            with deadline.stage("scoring"):
+            with service.stage("scoring", deadline):
                 clock.advance(1.0)
                 raise RuntimeError("boom")
-        assert deadline.stage_seconds["scoring"] == 1.0
+        assert _stage_seconds(service).sum(stage="scoring") == 1.0
+        assert deadline.overrun_stages == ["scoring"]

@@ -115,12 +115,18 @@ class TestHistogram:
         declared.histogram("cov", buckets=(0.5, 1.0))
         assert empty.to_prometheus() == declared.to_prometheus()
 
-    def test_time_context_manager_observes_duration(self):
-        hist = MetricsRegistry().histogram("lat")
-        with hist.time():
-            pass
-        assert hist.count() == 1
-        assert hist.sum() >= 0.0
+    def test_bound_observer_exports_like_observe(self):
+        buckets = (0.5, 1.0)
+        values = [0.1, 0.5, 0.7, 3.0, math.nan]
+        one, bound = MetricsRegistry(), MetricsRegistry()
+        single = one.histogram("lat", labels=("stage",), buckets=buckets)
+        observe = bound.histogram(
+            "lat", labels=("stage",), buckets=buckets
+        ).bind(stage="a")
+        for value in values:
+            single.observe(value, stage="a")
+            observe(value)
+        assert bound.to_prometheus() == one.to_prometheus()
 
     def test_empty_labelset_reads_as_zero(self):
         hist = MetricsRegistry().histogram("lat", labels=("d",))

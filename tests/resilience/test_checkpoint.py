@@ -6,15 +6,17 @@ uninterrupted run.
 """
 
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
 
 from repro.core.kld import KLDDetector
 from repro.core.online import TheftMonitoringService
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CorruptCheckpointError
 from repro.resilience import ResilienceConfig, load_checkpoint, save_checkpoint
-from repro.resilience.checkpoint import CHECKPOINT_VERSION
+from repro.resilience.checkpoint import CHECKPOINT_VERSION, _seal
 from repro.timeseries.seasonal import SLOTS_PER_WEEK
 
 
@@ -31,6 +33,30 @@ def cycles(paper_dataset):
         {cid: float(series[cid][t]) for cid in ids}
         for t in range(12 * SLOTS_PER_WEEK)
     ]
+
+
+def write_checkpoint_naming_a_missing_module(path):
+    """Seal a checkpoint whose pickle references a module that is gone,
+    as a file written by a version with a since-deleted class would."""
+    module = types.ModuleType("fdeta_deleted_module")
+
+    class Gone:
+        pass
+
+    Gone.__module__, Gone.__qualname__ = module.__name__, "Gone"
+    module.Gone = Gone
+    sys.modules[module.__name__] = module
+    try:
+        data = pickle.dumps(
+            {
+                "magic": "fdeta-checkpoint",
+                "version": CHECKPOINT_VERSION - 1,
+                "state": {"firewall": Gone()},
+            }
+        )
+    finally:
+        del sys.modules[module.__name__]
+    path.write_bytes(_seal(data))
 
 
 def _make_service():
@@ -236,6 +262,15 @@ class TestCheckpointFileFormat:
         )
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, _factory)
+
+    def test_pickle_naming_a_missing_module_is_incompatible(self, tmp_path):
+        path = tmp_path / "older.ckpt"
+        write_checkpoint_naming_a_missing_module(path)
+        with pytest.raises(CheckpointError, match="incompatible version") as info:
+            load_checkpoint(path, _factory)
+        # Not corruption: recovery must not fall back to .prev and
+        # hide the version mismatch.
+        assert not isinstance(info.value, CorruptCheckpointError)
 
     def test_atomic_write_replaces_previous(self, cycles, tmp_path):
         path = tmp_path / "service.ckpt"

@@ -22,7 +22,11 @@ from _fixtures import (
 )
 
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.ops import SLOTracker, default_fleet_objectives
+from repro.observability.ops import (
+    SLOTracker,
+    StageProfiler,
+    default_fleet_objectives,
+)
 from repro.observability.tracing import Tracer, stitch_traces
 from repro.scaleout import ElasticFleet
 
@@ -252,3 +256,42 @@ class TestStitchedHandoffTraces:
             report = healed.health_report()
             assert len(report.shards) == 3
             assert report.fleet_ready
+
+
+class TestFleetProfile:
+    """A shard rebuilt by a heal restart stays in the fleet's profile."""
+
+    CYCLES = 200
+    KILL_AT = 120  # mid-week: the rebuilt shard replays its WAL
+
+    def _killed_run(self, tmp_path, attach):
+        profiler = StageProfiler()
+        with _fleet(tmp_path) as fleet:
+            attach(fleet, profiler)
+            _feed(fleet, self.KILL_AT)
+            fleet.kill("shard-0000")
+            _feed(fleet, self.CYCLES - self.KILL_AT)
+            assert fleet.restarts_total == 1
+            shards = len(fleet.workers())
+        return profiler.snapshot(), shards
+
+    def test_profile_survives_a_heal_restart(self, tmp_path):
+        def attach(fleet, profiler):
+            fleet.profiler = profiler
+
+        profile, shards = self._killed_run(tmp_path, attach)
+        # Every shard-cycle ingested live is profiled exactly once; the
+        # rebuilt shard's WAL replay runs before the attach.
+        live = self.CYCLES * shards
+        assert profile["ingest"]["calls"] == live
+        assert profile["wal_append"]["calls"] == live
+
+    def test_attach_once_to_the_live_services_undercounts(self, tmp_path):
+        # The wiring the fleet attribute replaces: the profiler was set
+        # on each live shard service once, so a rebuilt shard left it.
+        def attach(fleet, profiler):
+            for worker in fleet.workers():
+                worker.monitor.service.profiler = profiler
+
+        profile, shards = self._killed_run(tmp_path, attach)
+        assert profile["ingest"]["calls"] < self.CYCLES * shards

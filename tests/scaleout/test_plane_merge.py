@@ -149,6 +149,10 @@ class TestFleetMetricsMerge:
                     )
                 )
                 and "latency" not in key[0]
+                # WAL stage windows are WAL plumbing too: the replay
+                # that rebuilds a killed shard re-ingests its logged
+                # cycles without appending them again.
+                and key[1] not in (("wal_append",), ("wal_sync",))
             }
 
         assert counting(disturbed) == counting(undisturbed)
